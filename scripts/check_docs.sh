@@ -9,6 +9,10 @@
 #     (key == "..." in spec.cpp) must appear in docs/SCENARIOS.md too.
 #  3. Every relative markdown link in README.md and docs/*.md must point at
 #     a file that exists.
+#  4. No stale commands in README.md, docs/*.md and the verify skill: every
+#     `./build/<name>` and every `bench_<name>` in backticks must name a
+#     source under bench/, tools/ or examples/, and every
+#     scenarios/<file>.scn must exist.
 #
 # No build needed: CI's docs-check job runs this straight off the checkout.
 set -euo pipefail
@@ -72,8 +76,32 @@ for md in README.md docs/*.md; do
   done < <(grep -oE '\]\([^)]+\)' "$md" | sed 's/^](//; s/)$//')
 done
 
+# --- 4. binaries and scenario files the docs name exist ---------------------
+REF_DOCS=(README.md docs/*.md)
+[[ -f .claude/skills/verify/SKILL.md ]] && REF_DOCS+=(.claude/skills/verify/SKILL.md)
+refs=0
+for md in "${REF_DOCS[@]}"; do
+  while IFS= read -r bin; do
+    [[ -z "$bin" ]] && continue
+    refs=$((refs + 1))
+    if [[ ! -f bench/$bin.cpp && ! -f tools/$bin.cpp && ! -f examples/$bin.cpp ]]; then
+      echo "STALE: $md names $bin (no bench/, tools/ or examples/ source)" >&2
+      fail=1
+    fi
+  done < <(grep -oE '\./build/[A-Za-z0-9_]+|`bench_[A-Za-z0-9_]+`' "$md" |
+           sed 's|^\./build/||; s/`//g' | sort -u)
+  while IFS= read -r scn; do
+    [[ -z "$scn" ]] && continue
+    refs=$((refs + 1))
+    if [[ ! -f "$scn" ]]; then
+      echo "STALE: $md names $scn (no such scenario file)" >&2
+      fail=1
+    fi
+  done < <(grep -oE 'scenarios/[A-Za-z0-9_]+\.scn' "$md" | sort -u)
+done
+
 if [[ $fail -ne 0 ]]; then
   echo "docs check FAILED" >&2
   exit 1
 fi
-echo "docs check OK ($(echo "$fault_keys" | wc -l) fault keys, $(echo "$scalar_keys" | wc -w) scalar keys, links resolve)"
+echo "docs check OK ($(echo "$fault_keys" | wc -l) fault keys, $(echo "$scalar_keys" | wc -w) scalar keys, links resolve, $refs command/scenario references exist)"

@@ -3,15 +3,17 @@
 #
 # Builds nothing itself — point it at a Release build tree. Runs
 # bench_micro_hotpath (JSON-emitting micro benches + peak RSS) and
-# wall-clock-times the paper-figure bench binaries, then assembles one JSON
-# report. Run it before and after a hot-path change and check the two
-# reports in side by side (repo root BENCH_hotpath.json holds a "before"
-# and an "after" report for the latest overhaul).
+# wall-clock-times every bundled scenario (the paper figures and ablations
+# included) through mpiv_run, then assembles one JSON report. Run it before
+# and after a hot-path change and check the two reports in side by side
+# (repo root BENCH_hotpath.json holds a "before" and an "after" report for
+# the latest overhaul).
 #
 # Usage: scripts/run_perf.sh [--quick] [--build-dir DIR] [--out FILE] [--label L]
-#   --quick      micro benches at reduced scale, fast figure subset only
-#                (CI perf-smoke uses this; crash = failure, regression = not)
-#   --build-dir  build tree containing the bench binaries (default: build)
+#   --quick      micro benches at reduced scale (CI perf-smoke uses this;
+#                crash = failure, regression = not)
+#   --build-dir  build tree containing bench_micro_hotpath and mpiv_run
+#                (default: build)
 #   --out        output JSON path (default: BENCH_hotpath.json)
 #   --label      free-form label recorded in the report (default: "run")
 set -euo pipefail
@@ -39,20 +41,8 @@ if [[ ! -x "$BUILD_DIR/bench_micro_hotpath" ]]; then
   exit 1
 fi
 
-# Fast subset for --quick (CI smoke); the full list is every figure/ablation
-# bench that exists in the build tree.
-QUICK_FIGS=(bench_fig6a_latency bench_fig6b_bandwidth bench_ablation_el_latency
-            bench_ablation_ckpt_sched)
-if [[ $QUICK -eq 1 ]]; then
-  FIGS=("${QUICK_FIGS[@]}")
-  MICRO_FLAGS=(--quick)
-else
-  FIGS=()
-  for f in "$BUILD_DIR"/bench_fig* "$BUILD_DIR"/bench_ablation_*; do
-    [[ -x $f ]] && FIGS+=("$(basename "$f")")
-  done
-  MICRO_FLAGS=()
-fi
+MICRO_FLAGS=()
+[[ $QUICK -eq 1 ]] && MICRO_FLAGS=(--quick)
 
 MICRO_JSON=$(mktemp)
 SCN_JSON=$(mktemp)
@@ -68,7 +58,7 @@ run_ok() {
 }
 
 echo "== micro hot-path benches =="
-"$BUILD_DIR/bench_micro_hotpath" "${MICRO_FLAGS[@]}" --json "$MICRO_JSON"
+"$BUILD_DIR/bench_micro_hotpath" ${MICRO_FLAGS[@]+"${MICRO_FLAGS[@]}"} --json "$MICRO_JSON"
 
 # Scenario driver timing: every bundled scenario in quick mode through
 # mpiv_run (wall clock per file; the JSON reports themselves are the
@@ -145,37 +135,10 @@ if [[ -x "$BUILD_DIR/mpiv_run" && -f scenarios/scale_probe.scn ]]; then
   rm -f "$SP_TMP"
 fi
 
-echo "== figure benches =="
-FIG_ROWS=""
-for b in "${FIGS[@]}"; do
-  if [[ ! -x "$BUILD_DIR/$b" ]]; then
-    echo "skip $b (not built)"
-    continue
-  fi
-  start=$(date +%s%N)
-  if "$BUILD_DIR/$b" > /dev/null 2>&1; then
-    status=ok
-  else
-    status=crash
-  fi
-  end=$(date +%s%N)
-  ms=$(( (end - start) / 1000000 ))
-  printf '%-32s %8s ms  %s\n' "$b" "$ms" "$status"
-  [[ -n $FIG_ROWS ]] && FIG_ROWS+=$',\n'
-  FIG_ROWS+="    {\"name\": \"$b\", \"wall_ms\": $ms, \"status\": \"$status\"}"
-  if [[ $status == crash ]]; then
-    echo "error: $b crashed" >&2
-    exit 1
-  fi
-done
-
 {
   echo "{"
   echo "  \"label\": \"$LABEL\","
   echo "  \"quick\": $QUICK,"
-  echo "  \"figure_benches\": ["
-  printf '%s\n' "$FIG_ROWS"
-  echo "  ],"
   if [[ -n $SCN_ROWS ]]; then
     echo "  \"scenarios\": ["
     printf '%s\n' "$SCN_ROWS"

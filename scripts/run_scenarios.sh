@@ -96,6 +96,35 @@ if [[ $fail -ne 0 ]]; then
   exit 1
 fi
 
+# Table smoke: every report a paper view reads must render through
+# `mpiv_stat --table` — the figure tables are now those views, so this runs
+# the renderers on real reports. Reports no view reads are skipped; Fig. 1
+# renders from the two-set report of its coordinated + logging arms.
+F1_JSON="$OUT_DIR/fig1.json"
+if ! run_ok "$BUILD_DIR/mpiv_run" ${FLAGS[@]+"${FLAGS[@]}"} --out "$F1_JSON" \
+    scenarios/fig1_coordinated.scn scenarios/fig1_logging.scn 2> "$OUT_DIR/fig1.log"; then
+  echo "table smoke FAILED: mpiv_run on the two fig1 scenarios crashed" >&2
+  sed 's/^/  | /' "$OUT_DIR/fig1.log" >&2
+  exit 1
+fi
+tables=0
+for report in "$OUT_DIR"/*.json; do
+  name=$(basename "$report" .json)
+  if "$BUILD_DIR/mpiv_stat" --table "$report" > "$OUT_DIR/$name.table.txt" \
+      2> "$OUT_DIR/$name.table.log"; then
+    tables=$((tables + 1))
+  elif ! grep -q "no table view" "$OUT_DIR/$name.table.log"; then
+    echo "table smoke FAILED: mpiv_stat --table $name.json" >&2
+    sed 's/^/  | /' "$OUT_DIR/$name.table.log" >&2
+    exit 1
+  fi
+done
+if [[ ! -s "$OUT_DIR/fig1.table.txt" ]]; then
+  echo "table smoke FAILED: the two-set fig1 report rendered no table" >&2
+  exit 1
+fi
+echo "table smoke OK ($tables reports rendered through mpiv_stat --table)"
+
 # Fault-campaign smoke: the EL-shard-crash scenario must have actually
 # exercised the failover machinery — the report needs a failover, a complete
 # per-phase recovery timeline, and an exact recovery against the fault-free

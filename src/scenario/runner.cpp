@@ -480,6 +480,7 @@ void write_run(std::ostringstream& out, const RunResult& r,
   key("app_bytes") << t.app_bytes_sent << ",\n";
   key("pb_events") << t.pb_events_sent << ",\n";
   key("pb_bytes") << t.pb_bytes_sent << ",\n";
+  key("pb_empty_msgs") << t.pb_empty_msgs << ",\n";
   key("pb_pct") << json_num(r.report.piggyback_pct()) << ",\n";
   key("pb_peak_msg_bytes") << t.pb_peak_msg_bytes << ",\n";
   key("pb_peak_msg_events") << t.pb_peak_msg_events << ",\n";
@@ -488,6 +489,7 @@ void write_run(std::ostringstream& out, const RunResult& r,
                                       << ",\n";
   key("pb_send_cpu_s") << json_num(sim::to_sec(t.pb_send_cpu)) << ",\n";
   key("pb_recv_cpu_s") << json_num(sim::to_sec(t.pb_recv_cpu)) << ",\n";
+  key("sender_log_peak_bytes") << t.sender_log_peak_bytes << ",\n";
   key("events_executed") << r.events_executed << ",\n";
   key("wire_bytes") << r.wire_bytes << ",\n";
   {

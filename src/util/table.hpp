@@ -1,10 +1,11 @@
-// Minimal fixed-width table printer for the benchmark harness output.
+// Minimal fixed-width table printer for the paper-figure tables.
 //
-// Every bench binary prints the same rows/series the paper reports; this
-// keeps those tables aligned and greppable without pulling in a formatting
-// dependency.
+// `mpiv_stat --table` renders the rows/series the paper reports through
+// this; it keeps those tables aligned and greppable without pulling in a
+// formatting dependency.
 #pragma once
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <string>
@@ -21,7 +22,8 @@ class Table {
     rows_.push_back(std::move(cells));
   }
 
-  void print(std::FILE* out = stdout) const {
+  /// The aligned table, one '\n'-terminated line per row.
+  std::string str() const {
     std::vector<std::size_t> width(headers_.size());
     for (std::size_t c = 0; c < headers_.size(); ++c) width[c] = headers_[c].size();
     for (const auto& row : rows_) {
@@ -29,20 +31,24 @@ class Table {
         width[c] = std::max(width[c], row[c].size());
       }
     }
+    std::string out;
     auto line = [&](const std::vector<std::string>& cells) {
       for (std::size_t c = 0; c < headers_.size(); ++c) {
         const std::string& s = c < cells.size() ? cells[c] : empty_;
-        std::fprintf(out, "%c %-*s", c == 0 ? '|' : '|',
-                     static_cast<int>(width[c]) + 1, s.c_str());
+        out += "| ";
+        out += s;
+        out.append(width[c] + 1 - s.size(), ' ');
       }
-      std::fprintf(out, "|\n");
+      out += "|\n";
     };
     line(headers_);
     for (std::size_t c = 0; c < headers_.size(); ++c) {
-      std::fprintf(out, "|%s", std::string(width[c] + 3, '-').c_str());
+      out += '|';
+      out.append(width[c] + 3, '-');
     }
-    std::fprintf(out, "|\n");
+    out += "|\n";
     for (const auto& row : rows_) line(row);
+    return out;
   }
 
  private:

@@ -2,18 +2,21 @@
 // percentile math, the engine's observation side-channel, sampler cadence
 // and ring wrap, registry merge, the JSON/CSV report shape — and the
 // mpiv_stat analysis layer (JSON parse, run flattening, top-N ranking,
-// A/B diff). The metrics-on-vs-off schedule goldens live in
-// tests/test_determinism.cpp (MetricsCaptureDoesNotPerturbTheGoldens);
+// A/B diff, the --table paper views). The metrics-on-vs-off schedule
+// goldens live in tests/test_determinism.cpp
+// (MetricsCaptureDoesNotPerturbTheGoldens);
 // here the same neutrality is asserted as on-vs-off fingerprint equality
 // through the scenario layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "metrics/metrics.hpp"
 #include "metrics/stat.hpp"
+#include "metrics/views.hpp"
 #include "scenario/runner.hpp"
 #include "sim/engine.hpp"
 #include "util/stats.hpp"
@@ -377,6 +380,129 @@ TEST(Stat, DiffReportsZeroDriftOnIdenticalRunsAndFlagsChanges) {
   ASSERT_EQ(lopsided.drifting.size(), 1u);
   EXPECT_EQ(lopsided.drifting[0].metric, "only_a");
   EXPECT_EQ(lopsided.drifting[0].missing_in, 2);
+}
+
+// ---------------------------------------------------------------------------
+// views.hpp: the mpiv_stat --table renderers
+
+/// One hand-written run object: `axes` and `fields` are JSON member lists.
+std::string run_json(const std::string& axes, const std::string& fields) {
+  return "{\"label\": \"r\", \"axes\": {" + axes +
+         "}, \"skipped\": false, " + fields + "}";
+}
+
+std::string set_json(const std::string& scenario,
+                     const std::vector<std::string>& runs) {
+  std::string out = "{\"scenario\": \"" + scenario + "\", \"runs\": [";
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    out += (i ? ", " : "") + runs[i];
+  }
+  return out + "]}";
+}
+
+/// The rendered table line whose first cell is `row`.
+std::string table_line(const std::string& text, const std::string& row) {
+  const std::size_t pos = text.find("| " + row + " ");
+  if (pos == std::string::npos) return "";
+  return text.substr(pos, text.find('\n', pos) - pos);
+}
+
+TEST(Views, Fig8bDividesPiggybackCpuByMakespanTimesRanks) {
+  const std::string run = run_json(
+      "\"nas\": \"lu:A:0.12\", \"nranks\": \"4\", "
+      "\"variant\": \"vcausal:noel\"",
+      "\"protocol\": \"Vcausal (no EL)\", \"completed\": true, "
+      "\"sim_time_s\": 10, \"pb_events\": 8, \"pb_bytes\": 100, "
+      "\"pb_pct\": 1.5, \"pb_send_cpu_s\": 0.5, \"pb_recv_cpu_s\": 1.5");
+  const std::string out =
+      metrics::render_tables(metrics::parse_json(set_json("fig78", {run})));
+  // (0.5 + 1.5) / (10 s x 4 ranks) = 5%.
+  const std::size_t fig8b = out.find("Fig. 8(b)");
+  ASSERT_NE(fig8b, std::string::npos) << out;
+  EXPECT_NE(table_line(out.substr(fig8b), "4").find("5.00%"),
+            std::string::npos)
+      << out;
+  // The same report feeds Fig. 7, Fig. 8a and the wire-format ablation.
+  EXPECT_NE(out.find("| Vcausal (no EL) |"), std::string::npos) << out;
+  EXPECT_NE(out.find("0.5000 / 1.5000"), std::string::npos) << out;
+  EXPECT_NE(out.find("12.50"), std::string::npos) << out;  // bytes/event
+}
+
+TEST(Views, Fig1AveragesSeedsAndReportsNoProgress) {
+  const auto run = [](const char* variant, const char* label,
+                      const char* rate, const char* seed, bool done,
+                      double t) {
+    return run_json(std::string("\"variant\": \"") + variant +
+                        "\", \"faults_per_minute\": \"" + rate +
+                        "\", \"seed\": \"" + seed + "\"",
+                    std::string("\"protocol\": \"") + label +
+                        "\", \"completed\": " + (done ? "true" : "false") +
+                        ", \"sim_time_s\": " + std::to_string(t));
+  };
+  const std::string report =
+      "{\"reports\": [" +
+      set_json("fig1_coordinated",
+               {run("coordinated", "Coord", "0", "1", true, 100),
+                run("coordinated", "Coord", "0", "2", true, 100),
+                run("coordinated", "Coord", "0.5", "1", true, 150),
+                run("coordinated", "Coord", "0.5", "2", true, 250)}) +
+      ", " +
+      set_json("fig1_logging",
+               {run("pessimistic", "Pess", "0", "1", true, 80),
+                run("pessimistic", "Pess", "0", "2", true, 120),
+                run("pessimistic", "Pess", "0.5", "1", true, 110),
+                run("pessimistic", "Pess", "0.5", "2", false, 0)}) +
+      "]}";
+  const std::string out = metrics::render_tables(metrics::parse_json(report));
+  EXPECT_NE(out.find("| Coord "), std::string::npos) << out;
+  EXPECT_NE(out.find("| Pess "), std::string::npos) << out;
+  const std::string zero = table_line(out, "0");
+  // Each protocol's fault-free row is its own baseline.
+  EXPECT_NE(zero.find("100%"), zero.rfind("100%")) << out;
+  // Coordinated: mean(150, 250) / mean(100, 100) = 200%. Pessimistic: one
+  // seed missed the deadline, so the whole point made no progress.
+  const std::string half = table_line(out, "0.5");
+  EXPECT_NE(half.find("200%"), std::string::npos) << out;
+  EXPECT_NE(half.find("no progress"), std::string::npos) << out;
+}
+
+TEST(Views, ReportWithoutAViewIsAnError) {
+  EXPECT_THROW(metrics::render_tables(
+                   metrics::parse_json(set_json("quickstart", {}))),
+               std::runtime_error);
+}
+
+TEST(Views, RunMissingAViewAxisIsAnError) {
+  const std::string run = run_json(
+      "\"nas\": \"cg:A:1.0\", \"variant\": \"vcausal:el\"",
+      "\"protocol\": \"Vcausal (EL)\", \"pb_pct\": 1");
+  try {
+    metrics::render_tables(metrics::parse_json(set_json("fig78", {run})));
+    FAIL() << "rendered a run with no nranks axis";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no sweep axis 'nranks'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Views, EveryViewAxisIsASweepAxisOfItsScenarioFile) {
+  for (const metrics::TableView& view : metrics::table_views()) {
+    for (const std::string& name : view.scenarios) {
+      const scenario::ScenarioSpec spec = scenario::parse_scenario_file(
+          std::string(MPIV_SOURCE_DIR) + "/scenarios/" + name + ".scn");
+      EXPECT_EQ(spec.name, name);
+      for (const std::string& axis :
+           {view.panel_axis, view.row_axis, view.col_axis}) {
+        if (axis.empty() || axis == metrics::kPointRows) continue;
+        const bool swept =
+            std::any_of(spec.sweep.begin(), spec.sweep.end(),
+                        [&](const auto& a) { return a.first == axis; });
+        EXPECT_TRUE(swept) << name << ".scn does not sweep '" << axis
+                           << "' (view: " << view.title << ")";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,12 +3,11 @@
 // semantics), quick overlays, lowering, and the JSON report shape.
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstring>
 #include <fstream>
 #include <random>
 #include <sstream>
 
+#include "metrics/stat.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 
@@ -574,99 +573,6 @@ TEST(ClusterDeath, RejectsFaultOnMissingRank) {
 // Runner + JSON report shape
 // ---------------------------------------------------------------------------
 
-/// Minimal recursive-descent JSON well-formedness checker (no external
-/// dependencies; enough to catch every malformed report).
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : s_(text) {}
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_;
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;
-    return true;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            std::strchr("+-.eE", s_[pos_]) != nullptr)) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool literal(const char* lit) {
-    const std::size_t n = std::strlen(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
 TEST(Report, JsonIsWellFormedAndCarriesTheSweep) {
   ScenarioBuilder b("report");
   b.nranks(4)
@@ -679,7 +585,7 @@ TEST(Report, JsonIsWellFormedAndCarriesTheSweep) {
   EXPECT_TRUE(set.runs[1].completed);
 
   const std::string json = scenario::to_json(set);
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_NO_THROW(metrics::parse_json(json)) << json;
   for (const char* needle :
        {"\"scenario\": \"report\"", "\"runs\":", "\"label\": \"Vcausal (EL)\"",
         "\"completed\": true", "\"pb_bytes\":", "\"checksum\":",
@@ -687,9 +593,8 @@ TEST(Report, JsonIsWellFormedAndCarriesTheSweep) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle << "\n" << json;
   }
   // Multi-report envelope is valid too.
-  EXPECT_TRUE(JsonChecker(scenario::to_json(std::vector<scenario::RunSet>{
-                              set, set}))
-                  .valid());
+  EXPECT_NO_THROW(metrics::parse_json(
+      scenario::to_json(std::vector<scenario::RunSet>{set, set})));
 }
 
 TEST(Report, SkippedPointsAreReportedNotDropped) {
@@ -704,7 +609,7 @@ TEST(Report, SkippedPointsAreReportedNotDropped) {
   EXPECT_TRUE(set.runs[0].skipped);
   EXPECT_FALSE(set.runs[1].skipped);
   const std::string json = scenario::to_json(set);
-  EXPECT_TRUE(JsonChecker(json).valid());
+  EXPECT_NO_THROW(metrics::parse_json(json));
   EXPECT_NE(json.find("\"skipped\": true"), std::string::npos);
   EXPECT_NE(json.find("\"skip_reason\":"), std::string::npos);
 }
@@ -719,7 +624,7 @@ TEST(Runner, PingpongResultsLandInTheReport) {
   const std::string json =
       scenario::to_json(scenario::RunSet{"pp", "t", false, {r}});
   EXPECT_NE(json.find("\"points\":"), std::string::npos);
-  EXPECT_TRUE(JsonChecker(json).valid());
+  EXPECT_NO_THROW(metrics::parse_json(json));
 }
 
 TEST(Report, DegradedTallyDrivesTheDistinctExitCode) {
@@ -751,7 +656,7 @@ TEST(Report, DegradedTallyDrivesTheDistinctExitCode) {
   EXPECT_EQ(t.total(), 2u);
   EXPECT_TRUE(t.degraded());
   const std::string json = scenario::to_json(set);
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_NO_THROW(metrics::parse_json(json)) << json;
   EXPECT_NE(json.find("\"outcome\": \"failed\""), std::string::npos);
   EXPECT_NE(json.find("\"fail_reason\""), std::string::npos);
   EXPECT_NE(json.find("\"failed\": 1"), std::string::npos);
@@ -783,7 +688,7 @@ TEST(Runner, MidrunFaultProducesReferenceAndExactRecovery) {
   const std::string json =
       scenario::to_json(scenario::RunSet{"midrun", "t", false, {r}});
   EXPECT_NE(json.find("\"recovered_exact\": true"), std::string::npos);
-  EXPECT_TRUE(JsonChecker(json).valid());
+  EXPECT_NO_THROW(metrics::parse_json(json));
 }
 
 }  // namespace

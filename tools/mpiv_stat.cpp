@@ -5,11 +5,14 @@
 //   $ mpiv_stat --top 5 report.json           # hottest ranks / EL shards
 //   $ mpiv_stat --diff a.json b.json          # exact A/B comparison
 //   $ mpiv_stat --diff a.json b.json --tol 0.02   # 2% per-metric tolerance
+//   $ mpiv_stat --table report.json           # the paper tables it holds
 //
 // --diff is the regression primitive: two identical-seed runs must report
 // zero drift (the simulator is deterministic), so any drift is a real
-// behavioural change. Exit status: 0 = ok / zero drift, 1 = drift found,
-// 2 = usage or parse errors.
+// behavioural change. --table renders the paper figure/ablation tables
+// (src/metrics/views.cpp) chosen by each report set's scenario name.
+// Exit status: 0 = ok / zero drift, 1 = drift found, 2 = usage or parse
+// errors, or a report with no table view.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "metrics/stat.hpp"
+#include "metrics/views.hpp"
 
 namespace {
 
@@ -26,9 +30,11 @@ using namespace mpiv;
 
 void usage(std::FILE* out, const char* argv0) {
   std::fprintf(out,
-               "usage: %s [--top N] <report.json>\n"
+               "usage: %s [--top N | --table] <report.json>\n"
                "       %s --diff <a.json> <b.json> [--tol FRACTION]\n"
                "  --top N       print the N hottest ranks/EL shards per run\n"
+               "  --table       print the paper tables the report's scenarios "
+               "feed\n"
                "  --diff        compare two reports metric-by-metric\n"
                "  --tol FRAC    allowed relative drift per metric "
                "(default 0 = exact)\n",
@@ -164,6 +170,7 @@ int diff(const std::string& path_a, const std::string& path_b,
 
 int main(int argc, char** argv) {
   bool do_diff = false;
+  bool do_table = false;
   long top_n = 0;
   double tolerance = 0.0;
   std::vector<std::string> files;
@@ -172,6 +179,8 @@ int main(int argc, char** argv) {
     const char* a = argv[i];
     if (std::strcmp(a, "--diff") == 0) {
       do_diff = true;
+    } else if (std::strcmp(a, "--table") == 0) {
+      do_table = true;
     } else if (std::strcmp(a, "--top") == 0 && i + 1 < argc) {
       top_n = std::strtol(argv[++i], nullptr, 10);
       if (top_n <= 0) {
@@ -210,6 +219,10 @@ int main(int argc, char** argv) {
       return 2;
     }
     const metrics::Json doc = load(files[0]);
+    if (do_table) {
+      std::fputs(metrics::render_tables(doc).c_str(), stdout);
+      return 0;
+    }
     const std::vector<metrics::RunMetrics> runs = metrics::extract_runs(doc);
     if (top_n > 0) {
       print_top(runs, static_cast<std::size_t>(top_n));
