@@ -2,9 +2,11 @@
 //
 // Times the inner loops every protocol variant executes per message —
 // determinant storage (EventStore), antecedence-graph reachability,
-// sender-log churn, engine event scheduling — plus one end-to-end cluster
-// run, and emits a machine-readable JSON report (wall clock, throughput,
-// peak RSS). scripts/run_perf.sh drives this binary before and after
+// sender-log churn, engine event scheduling, the Vcausal piggyback
+// exchange — plus one end-to-end cluster run, and emits a machine-readable
+// JSON report (wall clock, throughput, peak RSS). Two duels run a fast path
+// and its reference over identical inputs in one process; their ratios are
+// printed at the end. scripts/run_perf.sh drives this binary before and after
 // hot-path changes; BENCH_hotpath.json in the repo root records the
 // measured history.
 //
@@ -14,14 +16,16 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <queue>
 #include <string>
 #include <vector>
 
-#include <queue>
-
 #include "causal/antecedence_graph.hpp"
 #include "causal/event_store.hpp"
+#include "causal/reference_strategy.hpp"
 #include "causal/sender_log.hpp"
+#include "causal/vcausal_strategy.hpp"
 #include "scenario/runner.hpp"
 #include "sim/calendar_queue.hpp"
 #include "sim/engine.hpp"
@@ -51,7 +55,7 @@ void run_bench(const char* name, Fn&& fn) {
   r.items = fn();
   const auto t1 = Clock::now();
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  std::printf("%-24s %10.1f ms  %12llu items  %12.0f items/s\n", name,
+  std::printf("%-28s %10.1f ms  %12llu items  %12.0f items/s\n", name,
               r.wall_ms, static_cast<unsigned long long>(r.items),
               r.items_per_sec());
   g_results.push_back(std::move(r));
@@ -272,6 +276,65 @@ std::uint64_t bench_queue_binary_heap(std::uint64_t events) {
       });
 }
 
+// Piggyback exchange duel: Vcausal's streamed build/absorb versus the
+// reference vector round trip, over the exact same message stream — 96
+// ranks, random point-to-point traffic, stability trailing every creator by
+// 48 events (the scale wall's hot layer). Items are piggybacked events.
+template <class S>
+std::uint64_t bench_vcausal_exchange(std::uint64_t messages) {
+  const int n = 96;
+  const std::uint64_t lag = 48;
+  const mpiv::net::CostModel cost{};
+  struct Rank {
+    explicit Rank(int nranks) : store(nranks) {}
+    mpiv::causal::EventStore store;
+    S strat;
+    std::uint64_t seq = 0;
+  };
+  std::vector<std::unique_ptr<Rank>> ranks;
+  for (int r = 0; r < n; ++r) {
+    ranks.push_back(std::make_unique<Rank>(n));
+    ranks.back()->strat.attach(&ranks.back()->store, &cost, r, n);
+  }
+  std::vector<std::uint64_t> stable(static_cast<std::size_t>(n), 0);
+  std::uint64_t x = 0x2545f4914f6cdd1dull;  // xorshift traffic stream
+  const auto next = [&x](std::uint64_t bound) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x % bound;
+  };
+  std::uint64_t events = 0;
+  for (std::uint64_t m = 1; m <= messages; ++m) {
+    const auto src = static_cast<int>(next(n));
+    const auto dst = static_cast<int>((static_cast<std::uint64_t>(src) + 1 + next(n - 1)) % n);
+    Rank& s = *ranks[static_cast<std::size_t>(src)];
+    Rank& d = *ranks[static_cast<std::size_t>(dst)];
+    mpiv::util::Buffer buf;
+    mpiv::causal::Strategy::DepShadow deps;
+    events += s.strat.build(dst, buf, deps).events;
+    d.strat.absorb(src, buf, deps);
+    mpiv::ftapi::Determinant det = make_det(static_cast<std::uint32_t>(dst), ++d.seq, n);
+    det.src = static_cast<std::uint32_t>(src);
+    det.dep_creator = det.src;
+    det.dep_seq = d.store.known(det.src);
+    d.store.add(det);
+    d.strat.on_local_event(det);
+    if (m % static_cast<std::uint64_t>(n) == 0) {
+      for (int c = 0; c < n; ++c) {
+        const std::uint64_t seq = ranks[static_cast<std::size_t>(c)]->seq;
+        stable[static_cast<std::size_t>(c)] = seq > lag ? seq - lag : 0;
+      }
+      for (auto& r : ranks) {
+        r->store.set_stable(stable);
+        r->strat.on_stable(stable);
+      }
+    }
+  }
+  g_sink += events;
+  return events;
+}
+
 // End-to-end: a causal cluster running wildcard traffic — every layer of
 // the stack (engine, network, daemon, matching, strategy, EL) at once,
 // driven through the scenario API like every other experiment.
@@ -317,13 +380,31 @@ int main(int argc, char** argv) {
             [&] { return bench_queue_calendar(1000000 * scale); });
   run_bench("queue_binary_heap",
             [&] { return bench_queue_binary_heap(1000000 * scale); });
+  run_bench("vcausal_exchange", [&] {
+    return bench_vcausal_exchange<mpiv::causal::VcausalStrategy>(4000 * scale);
+  });
+  run_bench("vcausal_exchange_reference", [&] {
+    return bench_vcausal_exchange<
+        mpiv::causal::Reference<mpiv::causal::VcausalStrategy>>(4000 * scale);
+  });
   run_bench("cluster_e2e",
             [&] { return bench_cluster(static_cast<int>(30 * scale)); });
 
   double total_ms = 0;
   for (const BenchResult& r : g_results) total_ms += r.wall_ms;
+  const auto wall = [](const char* name) {
+    for (const BenchResult& r : g_results) {
+      if (r.name == name) return r.wall_ms;
+    }
+    return 0.0;
+  };
+  std::printf("%-28s %10.2fx  (queue_binary_heap / queue_calendar)\n",
+              "DUEL queue", wall("queue_binary_heap") / wall("queue_calendar"));
+  std::printf("%-28s %10.2fx  (vcausal_exchange_reference / vcausal_exchange)\n",
+              "DUEL vcausal_exchange",
+              wall("vcausal_exchange_reference") / wall("vcausal_exchange"));
   const std::uint64_t rss = peak_rss_kb();
-  std::printf("%-24s %10.1f ms  peak RSS %llu kB  (sink %llx)\n", "TOTAL",
+  std::printf("%-28s %10.1f ms  peak RSS %llu kB  (sink %llx)\n", "TOTAL",
               total_ms, static_cast<unsigned long long>(rss),
               static_cast<unsigned long long>(g_sink));
 

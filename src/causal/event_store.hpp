@@ -14,6 +14,10 @@
 // stable watermark and whose slots admit holes, and recovery takes the
 // union of the EL prefix and every survivor's ranges — contiguity of that
 // union is asserted at the recovery site.
+//
+// `held_through(c)` is the top of the hole-free prefix: every seq of `c` at
+// or below it is held or at or below `stable(c)`, so adding it is a no-op.
+// A receiver skips that prefix of an incoming piggyback block undecoded.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +43,10 @@ class EventStore {
     if (d.seq <= p.stable) return false;
     const bool inserted = p.dets.emplace(d.seq, d);
     if (d.seq > p.known) p.known = d.seq;
-    if (inserted) ++held_;
+    if (inserted) {
+      ++held_;
+      if (d.seq == p.held_through + 1) p.extend_held();
+    }
     return inserted;
   }
 
@@ -47,6 +54,10 @@ class EventStore {
   std::uint64_t known(std::uint32_t creator) const { return at(creator).known; }
   /// Stable watermark (acknowledged by the Event Logger).
   std::uint64_t stable(std::uint32_t creator) const { return at(creator).stable; }
+  /// Every seq of `creator` at or below this is held or stable (see top).
+  std::uint64_t held_through(std::uint32_t creator) const {
+    return at(creator).held_through;
+  }
 
   const ftapi::Determinant* find(std::uint32_t creator, std::uint64_t seq) const {
     return at(creator).dets.find(seq);
@@ -62,6 +73,10 @@ class EventStore {
       if (stable[c] <= p.stable) continue;
       p.stable = stable[c];
       p.dets.prune_to(p.stable, [this](const ftapi::Determinant&) { --held_; });
+      if (p.stable > p.held_through) {
+        p.held_through = p.stable;
+        p.extend_held();
+      }
     }
   }
 
@@ -109,12 +124,15 @@ class EventStore {
         d.dep_seq = b.get_u64();
         if (p.dets.emplace(d.seq, d)) ++held_;
       }
+      p.held_through = p.stable;
+      p.extend_held();
     }
   }
   void reset() {
     for (Per& p : per_) {
       p.stable = 0;
       p.known = 0;
+      p.held_through = 0;
       p.dets.reset();
     }
     held_ = 0;
@@ -136,7 +154,12 @@ class EventStore {
   struct Per {
     std::uint64_t stable = 0;
     std::uint64_t known = 0;
+    std::uint64_t held_through = 0;
     util::SeqWindow<ftapi::Determinant> dets;
+
+    void extend_held() {
+      while (dets.contains(held_through + 1)) ++held_through;
+    }
   };
   Per& at(std::uint32_t c) {
     MPIV_CHECK(c < per_.size(), "bad creator %u", c);

@@ -107,7 +107,7 @@ Strategy::Work LogOnStrategy::absorb(int src, util::Buffer& in,
     d.dep_creator = deps[i].first;
     d.dep_seq = deps[i].second;
     if (store_->add(d)) graph_->add(d);
-    note_learned(src, d);
+    note_learned(src, d.creator, d.seq);
   }
   w.events = events.size();
   // Single-pass merge: the partial order guarantees antecedents precede

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 
-#include "causal/wire.hpp"
-
 namespace mpiv::causal {
 
 Strategy::Work ManethoStrategy::build(int dst, util::Buffer& out,
                                       DepShadow& deps) {
   Work w;
-  PeerView& view = views_[static_cast<std::size_t>(dst)];
+  const PeerView& view = views_[static_cast<std::size_t>(dst)];
 
   // What does dst know? Traverse the graph backward from dst's newest event
   // we hold; the reachable prefix per creator is provably known to dst.
@@ -27,54 +25,29 @@ Strategy::Work ManethoStrategy::build(int dst, util::Buffer& out,
     }
   }
 
-  std::vector<ftapi::Determinant> events;
   for (int c = 0; c < nranks_; ++c) {
-    if (c == dst) continue;
     const auto creator = static_cast<std::uint32_t>(c);
     // Transitive (graph) evidence is capped after dst restarts (DESIGN §4).
-    const std::uint64_t graph_known = std::min(reach[creator], view.cap[creator]);
-    const std::uint64_t lo = std::max({store_->stable(creator),
-                                       view.floor_known(creator), graph_known});
-    const std::uint64_t hi = store_->known(creator);
-    if (hi <= lo) continue;
-    std::uint64_t top = 0;
-    store_->for_range(creator, lo, hi, [&](const ftapi::Determinant& d) {
-      events.push_back(d);
-      top = d.seq;
-    });
-    if (top > view.sent[creator]) view.sent[creator] = top;
-    view.raise_cap(creator, top);
+    holds_[creator] = std::max(view.floor_known(creator),
+                               std::min(reach[creator], view.cap[creator]));
   }
-  for (const ftapi::Determinant& d : events) {
-    deps.emplace_back(d.dep_creator, d.dep_seq);
-  }
-  wire::factored_serialize(events, out);
-  w.events = events.size();
-  w.bytes = out.size();
+  const std::size_t start = out.size();
+  w.events = put_factored(dst, /*raise_cap=*/true, out, deps);
+  w.bytes = out.size() - start;
   w.cpu = w.visits * cost_->graph_visit +
-          static_cast<sim::Time>(events.size()) * cost_->ev_serialize;
+          static_cast<sim::Time>(w.events) * cost_->ev_serialize;
   return w;
 }
 
 Strategy::Work ManethoStrategy::absorb(int src, util::Buffer& in,
                                        const DepShadow& deps) {
   Work w;
-  std::vector<ftapi::Determinant> events = wire::factored_parse(in);
-  MPIV_CHECK(deps.size() == events.size(), "dep shadow size %zu vs %zu",
-             deps.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    ftapi::Determinant& d = events[i];
-    d.dep_creator = deps[i].first;
-    d.dep_seq = deps[i].second;
-    if (store_->add(d)) graph_->add(d);
-    note_learned(src, d);
-  }
-  w.events = events.size();
+  w.events = take_factored(src, in, deps);
   // Manetho must first add the events, then re-cross the graph to generate
   // the new edges (paper §III-B.2) — the extra per-event walk is what makes
   // its receive side slower than LogOn's.
-  w.visits = 2 * events.size();
-  w.cpu = static_cast<sim::Time>(events.size()) *
+  w.visits = 2 * w.events;
+  w.cpu = static_cast<sim::Time>(w.events) *
               (cost_->ev_deserialize + cost_->graph_insert) +
           w.visits * cost_->graph_visit;
   return w;

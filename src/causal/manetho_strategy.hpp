@@ -46,6 +46,8 @@ class ManethoStrategy : public Strategy {
   const AntecedenceGraph& graph() const { return *graph_; }
 
  protected:
+  void on_absorbed(const ftapi::Determinant& d) override { graph_->add(d); }
+
   /// The graph's vertices are exactly the held (unstable) determinants, so
   /// after a restore it is rebuilt from the EventStore.
   void rebuild_graph() {

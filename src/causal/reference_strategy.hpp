@@ -1,0 +1,65 @@
+// Reference piggyback codec: the vector round trip the streamed path
+// replaced, kept as the oracle for differential tests and benches.
+//
+// `Reference<S>` runs strategy S (VcausalStrategy or ManethoStrategy) with
+// the same selection, but builds by collecting each creator's events with
+// for_range into a vector and encoding it with wire::factored_serialize,
+// and absorbs by decoding with wire::factored_parse and adding every event
+// one at a time. Its piggyback bytes, deps, Work and resulting knowledge
+// must equal S's for every message.
+#pragma once
+
+#include <algorithm>
+#include <vector>
+
+#include "causal/strategy.hpp"
+#include "causal/wire.hpp"
+
+namespace mpiv::causal {
+
+template <class S>
+class Reference final : public S {
+ protected:
+  std::uint64_t put_factored(int dst, bool raise_cap, util::Buffer& out,
+                             Strategy::DepShadow& deps) override {
+    PeerView& view = this->views_[static_cast<std::size_t>(dst)];
+    std::vector<ftapi::Determinant> events;
+    for (int c = 0; c < this->nranks_; ++c) {
+      if (c == dst) continue;
+      const auto creator = static_cast<std::uint32_t>(c);
+      const std::uint64_t lo =
+          std::max(this->store_->stable(creator), this->holds_[creator]);
+      const std::uint64_t hi = this->store_->known(creator);
+      if (hi <= lo) continue;
+      std::uint64_t top = 0;
+      this->store_->for_range(creator, lo, hi, [&](const ftapi::Determinant& d) {
+        events.push_back(d);
+        top = d.seq;
+      });
+      if (top > view.sent[creator]) view.sent[creator] = top;
+      if (raise_cap) view.raise_cap(creator, top);
+    }
+    for (const ftapi::Determinant& d : events) {
+      deps.emplace_back(d.dep_creator, d.dep_seq);
+    }
+    wire::factored_serialize(events, out);
+    return events.size();
+  }
+
+  std::uint64_t take_factored(int src, util::Buffer& in,
+                              const Strategy::DepShadow& deps) override {
+    std::vector<ftapi::Determinant> events = wire::factored_parse(in);
+    MPIV_CHECK(deps.size() == events.size(), "dep shadow size %zu vs %zu",
+               deps.size(), events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      ftapi::Determinant& d = events[i];
+      d.dep_creator = deps[i].first;
+      d.dep_seq = deps[i].second;
+      if (this->store_->add(d)) this->on_absorbed(d);
+      this->note_learned(src, d.creator, d.seq);
+    }
+    return events.size();
+  }
+};
+
+}  // namespace mpiv::causal

@@ -5,6 +5,11 @@
 // structure maintained to decide it (plain sequences vs antecedence graph),
 // (c) the wire format, and (d) — through the cost model — how much CPU the
 // decision costs. All of those are exactly the axes the paper compares.
+//
+// Vcausal and Manetho differ only in (a)-(b) and (d): both hand the base
+// class, per creator, the prefix the peer is known to hold, and the base
+// streams the rest in the factored format (put_factored) and merges
+// incoming factored piggybacks (take_factored).
 #pragma once
 
 #include <cstdint>
@@ -78,6 +83,7 @@ class Strategy {
     nranks_ = nranks;
     views_.assign(static_cast<std::size_t>(nranks), PeerView{});
     for (PeerView& v : views_) v.init(nranks);
+    holds_.assign(static_cast<std::size_t>(nranks), 0);
   }
 
   using DepShadow = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
@@ -112,18 +118,35 @@ class Strategy {
   virtual std::size_t graph_vertices() const { return 0; }
 
  protected:
-  /// Records knowledge implied by a piggyback received from `src`.
-  void note_learned(int src, const ftapi::Determinant& d) {
+  /// Records knowledge implied by a piggyback received from `src`: it
+  /// carried `creator`'s event `seq`.
+  void note_learned(int src, std::uint32_t creator, std::uint64_t seq) {
     PeerView& v = views_[static_cast<std::size_t>(src)];
-    if (d.seq > v.learned[d.creator]) v.learned[d.creator] = d.seq;
-    v.raise_cap(d.creator, d.seq);
+    if (seq > v.learned[creator]) v.learned[creator] = seq;
+    v.raise_cap(creator, seq);
   }
+
+  /// Streams, for every creator c != dst, the held events in
+  /// (max(stable(c), holds_[c]), known(c)] to `out` in the factored format
+  /// and their cross edges to `deps`, then records in dst's view what was
+  /// sent (`sent`, and the transitive cap if `raise_cap`). `holds_[c]` is
+  /// the prefix of c's events dst is known to hold. Returns the events.
+  virtual std::uint64_t put_factored(int dst, bool raise_cap, util::Buffer& out,
+                                     DepShadow& deps);
+  /// Merges a factored piggyback from `src` (deps in wire order), skipping
+  /// undecoded each block's prefix the store already holds; every event
+  /// new to the store goes to on_absorbed. Returns the events it carried.
+  virtual std::uint64_t take_factored(int src, util::Buffer& in,
+                                      const DepShadow& deps);
+  /// take_factored added `d` to the store.
+  virtual void on_absorbed(const ftapi::Determinant& d) { (void)d; }
 
   EventStore* store_ = nullptr;
   const net::CostModel* cost_ = nullptr;
   int rank_ = -1;
   int nranks_ = 0;
   std::vector<PeerView> views_;
+  std::vector<std::uint64_t> holds_;  // put_factored's input, per creator
 };
 
 enum class StrategyKind : std::uint8_t { kVcausal, kManetho, kLogOn };

@@ -1,38 +1,20 @@
 #include "causal/vcausal_strategy.hpp"
 
-#include <algorithm>
-
-#include "causal/wire.hpp"
-
 namespace mpiv::causal {
 
 Strategy::Work VcausalStrategy::build(int dst, util::Buffer& out,
                                       DepShadow& deps) {
   Work w;
-  PeerView& view = views_[static_cast<std::size_t>(dst)];
-  std::vector<ftapi::Determinant> events;
+  const PeerView& view = views_[static_cast<std::size_t>(dst)];
   for (int c = 0; c < nranks_; ++c) {
-    if (c == dst) continue;  // never send a peer its own events back
-    const auto creator = static_cast<std::uint32_t>(c);
-    const std::uint64_t lo =
-        std::max(store_->stable(creator), view.floor_known(creator));
-    const std::uint64_t hi = store_->known(creator);
-    if (hi <= lo) continue;
-    std::uint64_t top = 0;
-    store_->for_range(creator, lo, hi, [&](const ftapi::Determinant& d) {
-      events.push_back(d);
-      top = d.seq;
-    });
-    if (top > view.sent[creator]) view.sent[creator] = top;
+    holds_[static_cast<std::size_t>(c)] =
+        view.floor_known(static_cast<std::uint32_t>(c));
   }
-  for (const ftapi::Determinant& d : events) {
-    deps.emplace_back(d.dep_creator, d.dep_seq);
-  }
-  wire::factored_serialize(events, out);
-  w.events = events.size();
-  w.bytes = out.size();
+  const std::size_t start = out.size();
+  w.events = put_factored(dst, /*raise_cap=*/false, out, deps);
+  w.bytes = out.size() - start;
   // Selection scans the held sequences (grows without an Event Logger).
-  w.cpu = static_cast<sim::Time>(events.size()) * cost_->ev_serialize +
+  w.cpu = static_cast<sim::Time>(w.events) * cost_->ev_serialize +
           static_cast<sim::Time>(static_cast<double>(store_->held_count()) *
                                  cost_->vc_scan_ns_per_held);
   return w;
@@ -41,18 +23,8 @@ Strategy::Work VcausalStrategy::build(int dst, util::Buffer& out,
 Strategy::Work VcausalStrategy::absorb(int src, util::Buffer& in,
                                        const DepShadow& deps) {
   Work w;
-  std::vector<ftapi::Determinant> events = wire::factored_parse(in);
-  MPIV_CHECK(deps.size() == events.size(), "dep shadow size %zu vs %zu",
-             deps.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    ftapi::Determinant& d = events[i];
-    d.dep_creator = deps[i].first;
-    d.dep_seq = deps[i].second;
-    store_->add(d);
-    note_learned(src, d);
-  }
-  w.events = events.size();
-  w.cpu = static_cast<sim::Time>(events.size()) *
+  w.events = take_factored(src, in, deps);
+  w.cpu = static_cast<sim::Time>(w.events) *
           (cost_->ev_deserialize + cost_->seq_append);
   return w;
 }

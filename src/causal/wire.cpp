@@ -1,28 +1,32 @@
 #include "causal/wire.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace mpiv::causal::wire {
 
 void factored_serialize(const std::vector<ftapi::Determinant>& events,
                         util::Buffer& out) {
-  // Count blocks: a block is a maximal run of the same creator with
-  // consecutive sequence numbers.
-  std::uint16_t nblocks = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i == 0 || events[i].creator != events[i - 1].creator ||
-        events[i].seq != events[i - 1].seq + 1) {
-      ++nblocks;
-    }
-  }
-  out.put_u16(nblocks);
-  std::size_t i = 0;
-  while (i < events.size()) {
+  // A block is a maximal run of the same creator with consecutive sequence
+  // numbers, cut every UINT16_MAX events.
+  const auto run_end = [&events](std::size_t i) {
     std::size_t j = i + 1;
-    while (j < events.size() && events[j].creator == events[j - 1].creator &&
+    while (j < events.size() && j - i < UINT16_MAX &&
+           events[j].creator == events[j - 1].creator &&
            events[j].seq == events[j - 1].seq + 1) {
       ++j;
     }
+    return j;
+  };
+  std::size_t nblocks = 0;
+  for (std::size_t i = 0; i < events.size(); i = run_end(i)) ++nblocks;
+  MPIV_CHECK(nblocks <= UINT16_MAX, "piggyback too large: %zu blocks", nblocks);
+  out.put_u16(static_cast<std::uint16_t>(nblocks));
+  for (std::size_t i = 0, j = 0; i < events.size(); i = j) {
+    j = run_end(i);
+    MPIV_CHECK(events[i].creator <= UINT16_MAX, "creator %u exceeds u16",
+               events[i].creator);
     out.put_u16(static_cast<std::uint16_t>(events[i].creator));
     out.put_u16(static_cast<std::uint16_t>(j - i));
     out.put_u64(events[i].seq);
@@ -31,7 +35,6 @@ void factored_serialize(const std::vector<ftapi::Determinant>& events,
       out.put_u64(events[k].ssn);
       out.put_u32(static_cast<std::uint32_t>(events[k].tag));
     }
-    i = j;
   }
 }
 
@@ -83,6 +86,65 @@ std::vector<ftapi::Determinant> plain_parse(util::Buffer& in) {
     out.push_back(d);
   }
   return out;
+}
+
+FactoredWriter::FactoredWriter(util::Buffer& out, std::uint64_t max_events,
+                               std::uint64_t max_blocks)
+    : out_(out),
+      start_(out.size()),
+      cap_(static_cast<std::size_t>(kFactoredHeader +
+                                    max_blocks * kFactoredBlockHeader +
+                                    max_events * kFactoredPerEvent)) {
+  base_ = out_.extend(cap_);
+}
+
+void FactoredWriter::open_block(const ftapi::Determinant& d) {
+  close_block();
+  MPIV_CHECK(blocks_ < UINT16_MAX, "piggyback too large: over %u blocks",
+             static_cast<unsigned>(UINT16_MAX));
+  MPIV_CHECK(d.creator <= UINT16_MAX, "creator %u exceeds u16", d.creator);
+  if (pos_ + kFactoredBlockHeader > cap_) grow(kFactoredBlockHeader);
+  std::uint8_t* p = base_ + pos_;
+  const auto creator = static_cast<std::uint16_t>(d.creator);
+  std::memcpy(p, &creator, 2);  // count (p + 2) is written by close_block
+  std::memcpy(p + 4, &d.seq, 8);
+  block_ = pos_;
+  pos_ += kFactoredBlockHeader;
+  ++blocks_;
+  creator_ = d.creator;
+  next_seq_ = d.seq;
+  count_ = 0;
+}
+
+void FactoredWriter::close_block() {
+  if (blocks_ == 0) return;
+  const auto count = static_cast<std::uint16_t>(count_);
+  std::memcpy(base_ + block_ + 2, &count, 2);
+}
+
+void FactoredWriter::grow(std::size_t n) {
+  const std::size_t more = std::max(cap_, pos_ + n - cap_);
+  base_ = out_.extend(more) - cap_;
+  cap_ += more;
+}
+
+void FactoredWriter::finish() {
+  close_block();
+  const auto nblocks = static_cast<std::uint16_t>(blocks_);
+  std::memcpy(base_, &nblocks, 2);
+  out_.truncate(start_ + pos_);
+}
+
+bool FactoredReader::next_block() {
+  if (left_ > 0) skip(left_);
+  if (blocks_left_ == 0) return false;
+  --blocks_left_;
+  block_.creator = in_.get_u16();
+  block_.count = in_.get_u16();
+  block_.first = in_.get_u64();
+  left_ = block_.count;
+  next_seq_ = block_.first;
+  return true;
 }
 
 }  // namespace mpiv::causal::wire

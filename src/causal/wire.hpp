@@ -9,9 +9,19 @@
 // data added to the message is higher for LogOn". For very small piggybacks
 // the factored block header dominates and LogOn is the smaller format (the
 // paper's LU/4-nodes observation).
+//
+// The factored format has two implementations. The strategies stream it:
+// FactoredWriter writes events straight from the EventStore into the
+// outgoing buffer, and FactoredReader hands the receiver one block header at
+// a time so it can skip, undecoded, the prefix it already holds.
+// factored_serialize / factored_parse round-trip a vector and are the
+// reference both are tested against. A block holds at most UINT16_MAX
+// events (longer runs continue in the next block) and a piggyback at most
+// UINT16_MAX blocks.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "ftapi/determinant.hpp"
@@ -38,5 +48,98 @@ std::vector<ftapi::Determinant> factored_parse(util::Buffer& in);
 void plain_serialize(const std::vector<ftapi::Determinant>& events,
                      util::Buffer& out);
 std::vector<ftapi::Determinant> plain_parse(util::Buffer& in);
+
+/// Appends a factored piggyback to `out` one event at a time, producing the
+/// bytes factored_serialize gives for the same event sequence. The buffer
+/// is sized once, from the bounds given at construction (it still grows if
+/// they are exceeded); finish() must be called before `out` is used.
+class FactoredWriter {
+ public:
+  FactoredWriter(util::Buffer& out, std::uint64_t max_events,
+                 std::uint64_t max_blocks);
+
+  void put(const ftapi::Determinant& d) {
+    if (d.creator != creator_ || d.seq != next_seq_ || count_ == UINT16_MAX) {
+      open_block(d);
+    }
+    if (pos_ + kFactoredPerEvent > cap_) grow(kFactoredPerEvent);
+    std::uint8_t* p = base_ + pos_;
+    const auto src = static_cast<std::uint16_t>(d.src);
+    const auto tag = static_cast<std::uint32_t>(d.tag);
+    std::memcpy(p, &src, 2);
+    std::memcpy(p + 2, &d.ssn, 8);
+    std::memcpy(p + 10, &tag, 4);
+    pos_ += kFactoredPerEvent;
+    ++count_;
+    ++next_seq_;
+    ++events_;
+  }
+
+  /// Writes the block count and trims the unused room.
+  void finish();
+  std::uint64_t events() const { return events_; }
+
+ private:
+  void open_block(const ftapi::Determinant& d);
+  void close_block();
+  void grow(std::size_t n);
+
+  util::Buffer& out_;
+  std::size_t start_;           // offset of the piggyback in `out_`
+  std::uint8_t* base_;          // out_'s bytes at `start_`
+  std::size_t cap_;             // room sized from `start_`
+  std::size_t pos_ = kFactoredHeader;  // bytes written from `start_`
+  std::size_t block_ = 0;       // the open block's header, from `start_`
+  std::uint32_t creator_ = 0;   // the open block's creator
+  std::uint64_t next_seq_ = 0;  // seq that continues the open block
+  std::uint32_t count_ = UINT16_MAX;  // events in the open block (full: none open)
+  std::uint64_t blocks_ = 0;
+  std::uint64_t events_ = 0;
+};
+
+/// Reads a factored piggyback block by block: each block's header, then its
+/// events, decoded one at a time or skipped in O(1).
+class FactoredReader {
+ public:
+  struct Block {
+    std::uint32_t creator = 0;
+    std::uint32_t count = 0;
+    std::uint64_t first = 0;  // seq of the block's first event
+  };
+
+  explicit FactoredReader(util::Buffer& in) : in_(in), blocks_left_(in.get_u16()) {}
+
+  /// Reads the next block header, first skipping whatever the current block
+  /// has left. Returns false once every block was read.
+  bool next_block();
+  const Block& block() const { return block_; }
+
+  /// Skips the next `n` events of the current block without decoding them.
+  void skip(std::uint32_t n) {
+    MPIV_CHECK(n <= left_, "skip %u of %u events", n, left_);
+    in_.skip(static_cast<std::size_t>(n) * kFactoredPerEvent);
+    next_seq_ += n;
+    left_ -= n;
+  }
+  /// Decodes the next event of the current block.
+  ftapi::Determinant event() {
+    MPIV_CHECK(left_ > 0, "read past the end of a block");
+    ftapi::Determinant d;
+    d.creator = block_.creator;
+    d.seq = next_seq_++;
+    d.src = in_.get_u16();
+    d.ssn = in_.get_u64();
+    d.tag = static_cast<std::int32_t>(in_.get_u32());
+    --left_;
+    return d;
+  }
+
+ private:
+  util::Buffer& in_;
+  std::uint32_t blocks_left_;
+  Block block_;
+  std::uint32_t left_ = 0;      // events of the current block not yet read
+  std::uint64_t next_seq_ = 0;  // seq of the next one
+};
 
 }  // namespace mpiv::causal::wire

@@ -14,10 +14,12 @@
 
 namespace mpiv::ftapi {
 
+// Members are ordered for a padding-free 40-byte layout (every store keeps
+// determinants by value); the wire order is set by serialize(), not here.
 struct Determinant {
   std::uint32_t creator = 0;  // rank whose reception this describes
-  std::uint64_t seq = 0;      // creator's reception sequence number (1-based)
   std::uint32_t src = 0;      // sender of the matched message
+  std::uint64_t seq = 0;      // creator's reception sequence number (1-based)
   std::uint64_t ssn = 0;      // sender's (src -> creator) send sequence
   std::int32_t tag = 0;
 

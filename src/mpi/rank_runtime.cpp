@@ -244,13 +244,6 @@ sim::Task<void> RankRuntime::recovery_main(AppFactory factory,
     const sim::Time t_events = eng_.now();
     std::vector<std::uint64_t> arr_wm(arr_.size());
     for (std::size_t s = 0; s < arr_.size(); ++s) arr_wm[s] = arr_[s].watermark();
-    if (getenv("MPIV_DEBUG_RECOVERY")) {
-      std::fprintf(stderr, "[dbg] rank %d restored: rsn=%llu unexpected=%zu arr_wm=[", rank_,
-                   (unsigned long long)rsn_, unexpected_.size());
-      for (auto w : arr_wm) std::fprintf(stderr, "%llu ", (unsigned long long)w);
-      std::fprintf(stderr, "]\n");
-      for (auto& u : unexpected_) std::fprintf(stderr, "[dbg]   unexp src=%d ssn=%llu tag=%d\n", u.src_rank, (unsigned long long)u.ssn, u.tag);
-    }
     ftapi::DeterminantList dets = co_await proto_->recover(rsn_, arr_wm);
     stats_->recovery_collect_time += eng_.now() - t_events;
 
@@ -273,11 +266,6 @@ sim::Task<void> RankRuntime::recovery_main(AppFactory factory,
       ++expect;
     }
     stats_->recovery_events += replay_.size();
-    if (getenv("MPIV_DEBUG_RECOVERY")) {
-      std::fprintf(stderr, "[dbg] rank %d replay queue %zu: ", rank_, replay_.size());
-      for (auto& d : replay_) std::fprintf(stderr, "(s%u ssn%llu) ", d.src, (unsigned long long)d.ssn);
-      std::fprintf(stderr, "\n");
-    }
   }
   if (hooks_.timeline != nullptr) {
     hooks_.timeline->mark_collect(rank_, eng_.now(), replay_.size());

@@ -68,11 +68,6 @@ class Dispatcher {
   /// Queued if another recovery is still in flight; dropped once the run
   /// completed or the rank already finished.
   void fault(int rank) {
-    if (getenv("MPIV_DEBUG_RECOVERY")) {
-      std::fprintf(stderr, "[dbg] fault(%d) at %.3fs: all_done=%d done=%zu busy=%d\n",
-                   rank, sim::to_sec(port_.engine().now()), all_done(), done_.size(),
-                   recovery_busy_);
-    }
     if (all_done() || done_.count(rank) != 0 || dead_.count(rank) != 0 ||
         promoting_.count(rank) != 0) {
       return;

@@ -145,6 +145,19 @@ class Buffer : public ByteReader<Buffer> {
     put_u32(static_cast<std::uint32_t>(other.size()));
     put_raw(other.bytes_.data(), other.size());
   }
+  /// Appends `n` zero bytes and returns where they start, for writers that
+  /// size the buffer once and then store fields in place. The pointer is
+  /// valid until the next mutation.
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    return bytes_.data() + at;
+  }
+  /// Drops every byte past the first `n` (the unused tail of `extend`).
+  void truncate(std::size_t n) {
+    MPIV_CHECK(n <= bytes_.size(), "truncate to %zu of %zu", n, bytes_.size());
+    bytes_.resize(n);
+  }
 
   friend bool operator==(const Buffer& a, const Buffer& b) {
     return a.bytes_ == b.bytes_;

@@ -2,15 +2,22 @@
 // formats, the event store, the antecedence graph (including the paper's
 // Fig. 3 scenario), the sender log, and the strategy invariants —
 // no-event-sent-twice, graph-pruning soundness (Manetho/LogOn piggyback a
-// subset of Vcausal's), and LogOn's partial-order emission.
+// subset of Vcausal's), and LogOn's partial-order emission. The streamed
+// factored path is checked against its reference (causal/reference_strategy
+// .hpp) message by message, and its block reader is fuzzed against
+// wire::factored_parse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
+#include <type_traits>
 
 #include "causal/antecedence_graph.hpp"
 #include "causal/event_store.hpp"
 #include "causal/logon_strategy.hpp"
 #include "causal/manetho_strategy.hpp"
+#include "causal/reference_strategy.hpp"
 #include "causal/sender_log.hpp"
 #include "causal/vcausal_strategy.hpp"
 #include "causal/wire.hpp"
@@ -83,6 +90,70 @@ TEST(Wire, FactoredSplitsNonContiguousRuns) {
   EXPECT_EQ(parsed[1].seq, 3u);
 }
 
+// The block reader, skipping the first `skip` events of every block.
+std::vector<ftapi::Determinant> read_skipping(util::Buffer in, std::uint32_t skip) {
+  wire::FactoredReader reader(in);
+  std::vector<ftapi::Determinant> out;
+  while (reader.next_block()) {
+    const std::uint32_t n = reader.block().count;
+    reader.skip(std::min(skip, n));
+    for (std::uint32_t k = std::min(skip, n); k < n; ++k) out.push_back(reader.event());
+  }
+  return out;
+}
+
+util::Buffer stream(const std::vector<ftapi::Determinant>& events,
+                    util::Buffer out = {}, std::uint64_t max_events = 0,
+                    std::uint64_t max_blocks = 0) {
+  wire::FactoredWriter writer(out, max_events, max_blocks);
+  for (const ftapi::Determinant& d : events) writer.put(d);
+  writer.finish();
+  return out;
+}
+
+TEST(Wire, LongRunSplitsIntoU16Blocks) {
+  // 70,000 events of one creator: a u16 count would wrap; the run must
+  // continue in a second block through both writers.
+  std::vector<ftapi::Determinant> events;
+  for (std::uint64_t s = 1; s <= 70000; ++s) {
+    events.push_back(det(5, s, static_cast<std::uint32_t>(s % 7), s * 3,
+                         static_cast<int>(s % 11)));
+  }
+  util::Buffer ref;
+  wire::factored_serialize(events, ref);
+  const util::Buffer streamed = stream(events, {}, events.size(), 2);
+  EXPECT_EQ(streamed, ref);
+  EXPECT_EQ(ref.size(), wire::kFactoredHeader + 2 * wire::kFactoredBlockHeader +
+                            events.size() * wire::kFactoredPerEvent);
+  EXPECT_EQ(ref.get_u16(), 2u);
+  ref.rewind();
+  EXPECT_EQ(read_skipping(ref, 0), events);
+  EXPECT_EQ(wire::factored_parse(ref), events);
+}
+
+TEST(Wire, StreamedWriterAppendsTheReferenceBytes) {
+  // Runs with holes over several creators, written after existing bytes
+  // and with no room sized up front (the writer has to grow).
+  util::Rng rng(21);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<ftapi::Determinant> events;
+    const std::uint64_t runs = 1 + rng.next_below(6);
+    for (std::uint64_t r = 0; r < runs; ++r) {
+      const auto creator = static_cast<std::uint32_t>(rng.next_below(4));
+      const std::uint64_t first = 1 + rng.next_below(50);
+      for (std::uint64_t q = 0, len = 1 + rng.next_below(9); q < len; ++q) {
+        if (rng.next_below(4) == 0) continue;  // a hole
+        events.push_back(det(creator, first + q, 1, rng.next_u64(), 2));
+      }
+    }
+    util::Buffer prefix;
+    prefix.put_u32(0xfeedbeef);
+    util::Buffer expect = prefix;
+    wire::factored_serialize(events, expect);
+    EXPECT_EQ(stream(events, prefix), expect);
+  }
+}
+
 // --- event store ---------------------------------------------------------------
 
 TEST(EventStoreTest, AddAndKnownTracksPrefix) {
@@ -130,6 +201,61 @@ TEST(EventStoreTest, SerializeRestoreRoundTrip) {
   EXPECT_EQ(t.known(2), 6u);
   EXPECT_EQ(t.stable(2), 3u);
   EXPECT_EQ(t.held_count(), 3u);
+}
+
+TEST(EventStoreTest, HeldThroughStopsAtAGapAboveStable) {
+  EventStore s(2);
+  for (std::uint64_t q = 1; q <= 5; ++q) s.add(det(1, q, 0, q));
+  s.add(det(1, 8, 0, 8));
+  EXPECT_EQ(s.held_through(1), 5u);
+  EXPECT_EQ(s.known(1), 8u);
+  EXPECT_EQ(s.held_through(0), 0u);
+}
+
+TEST(EventStoreTest, HeldThroughAdvancesWhenAHoleFills) {
+  EventStore s(2);
+  for (std::uint64_t q : {1, 2, 5, 6, 4}) s.add(det(1, q, 0, q));
+  EXPECT_EQ(s.held_through(1), 2u);
+  s.add(det(1, 3, 0, 3));
+  EXPECT_EQ(s.held_through(1), 6u);
+}
+
+TEST(EventStoreTest, HeldThroughFollowsStablePastAHole) {
+  EventStore s(2);
+  for (std::uint64_t q : {1, 2, 3, 6, 7, 8}) s.add(det(1, q, 0, q));
+  s.set_stable({0, 4});  // 5 is still missing
+  EXPECT_EQ(s.held_through(1), 4u);
+  s.set_stable({0, 5});  // the hole is now below stable
+  EXPECT_EQ(s.held_through(1), 8u);
+  s.set_stable({0, 12});  // stable beyond anything held
+  EXPECT_EQ(s.held_through(1), 12u);
+  EXPECT_FALSE(s.add(det(1, 12, 0, 12)));
+}
+
+TEST(EventStoreTest, HeldThroughIsRecomputedOnRestore) {
+  EventStore s(2);
+  for (std::uint64_t q : {1, 2, 3, 4, 5, 7}) s.add(det(1, q, 0, q));
+  s.set_stable({0, 2});
+  util::Buffer b;
+  s.serialize(b);
+  EventStore t(2);
+  for (std::uint64_t q = 1; q <= 20; ++q) t.add(det(1, q, 0, q));
+  t.restore(b);
+  EXPECT_EQ(t.held_through(1), 5u);
+  EXPECT_TRUE(t.add(det(1, 6, 0, 6)));
+  EXPECT_EQ(t.held_through(1), 7u);
+}
+
+TEST(EventStoreTest, HeldThroughResets) {
+  EventStore s(2);
+  for (std::uint64_t q = 1; q <= 4; ++q) s.add(det(1, q, 0, q));
+  s.set_stable({0, 2});
+  s.reset();
+  EXPECT_EQ(s.held_through(1), 0u);
+  s.add(det(1, 2, 0, 2));
+  EXPECT_EQ(s.held_through(1), 0u);
+  s.add(det(1, 1, 0, 1));
+  EXPECT_EQ(s.held_through(1), 2u);
 }
 
 // --- antecedence graph ----------------------------------------------------------
@@ -417,6 +543,300 @@ TEST(PeerViewTest, RestartClampsAndCaps) {
   EXPECT_EQ(v.cap, (std::vector<std::uint64_t>{4, 4, 4}));
   v.raise_cap(0, 6);
   EXPECT_EQ(v.cap[0], 6u);
+}
+
+// --- streamed vs reference piggyback path ----------------------------------------
+
+struct DiffRank {
+  explicit DiffRank(int nranks) : store(nranks) {}
+  EventStore store;
+  std::unique_ptr<Strategy> strat;
+};
+
+template <class S>
+std::vector<std::unique_ptr<DiffRank>> make_ranks(int nranks,
+                                                  const net::CostModel* cost) {
+  std::vector<std::unique_ptr<DiffRank>> ranks;
+  for (int r = 0; r < nranks; ++r) {
+    ranks.push_back(std::make_unique<DiffRank>(nranks));
+    ranks.back()->strat = std::make_unique<S>();
+    ranks.back()->strat->attach(&ranks.back()->store, cost, r, nranks);
+  }
+  return ranks;
+}
+
+template <class T>
+util::Buffer serialized(const T& x) {
+  util::Buffer b;
+  x.serialize(b);
+  return b;
+}
+
+void expect_same_work(const Strategy::Work& a, const Strategy::Work& b) {
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.visits, b.visits);
+  EXPECT_EQ(a.cpu, b.cpu);
+}
+
+// held_through is the top of the hole-free prefix above stable.
+void expect_held_through_exact(const EventStore& s) {
+  for (int c = 0; c < s.nranks(); ++c) {
+    const auto creator = static_cast<std::uint32_t>(c);
+    const std::uint64_t held = s.held_through(creator);
+    ASSERT_GE(held, s.stable(creator));
+    for (std::uint64_t q = s.stable(creator) + 1; q <= held; ++q) {
+      ASSERT_NE(s.find(creator, q), nullptr) << "creator " << c << " seq " << q;
+    }
+    EXPECT_EQ(s.find(creator, held + 1), nullptr) << "creator " << c;
+  }
+}
+
+// Drives identical randomized traffic through strategy S and Reference<S>:
+// messages, per-holder stable advances (holders learn stability at
+// different times, which leaves holes), checkpoints and restarts (restore +
+// on_peer_restart caps). Everything observable must match after each step.
+template <class S>
+void run_differential(std::uint64_t seed) {
+  constexpr int kRanks = 16;
+  constexpr int kSteps = 3000;
+  const net::CostModel cost{};
+  auto fast = make_ranks<S>(kRanks, &cost);
+  auto ref = make_ranks<Reference<S>>(kRanks, &cost);
+  util::Rng rng(seed);
+  std::vector<std::vector<ftapi::Determinant>> history(kRanks);
+  std::vector<std::uint64_t> ssn(kRanks * kRanks, 0);
+  std::vector<std::uint64_t> el_stable(kRanks, 0);
+  struct Snapshot {
+    util::Buffer store;
+    util::Buffer views;
+    std::vector<std::uint64_t> known;
+  };
+  std::vector<std::optional<Snapshot>> snaps(kRanks);
+  std::uint64_t duplicates = 0;
+  std::uint64_t holes = 0;
+
+  const auto expect_same = [&](int r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(serialized(fast[i]->store), serialized(ref[i]->store)) << "rank " << r;
+    EXPECT_EQ(serialized(*fast[i]->strat), serialized(*ref[i]->strat)) << "rank " << r;
+    EXPECT_EQ(fast[i]->strat->graph_vertices(), ref[i]->strat->graph_vertices());
+  };
+  const auto deliver = [&](int dst, int src) {
+    const auto d_at = static_cast<std::size_t>(dst);
+    const std::uint64_t seq = fast[d_at]->store.known(static_cast<std::uint32_t>(dst)) + 1;
+    std::vector<ftapi::Determinant>& mine = history[d_at];
+    if (seq > mine.size()) {  // a new reception (otherwise replay it)
+      ftapi::Determinant d = det(static_cast<std::uint32_t>(dst), seq,
+                                 static_cast<std::uint32_t>(src),
+                                 ++ssn[static_cast<std::size_t>(src * kRanks + dst)],
+                                 static_cast<int>(rng.next_below(3)));
+      d.dep_creator = static_cast<std::uint32_t>(src);
+      d.dep_seq = fast[d_at]->store.known(static_cast<std::uint32_t>(src));
+      mine.push_back(d);
+    }
+    for (auto* world : {&fast, &ref}) {
+      DiffRank& r = *(*world)[d_at];
+      r.store.add(mine[seq - 1]);
+      r.strat->on_local_event(mine[seq - 1]);
+    }
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    const std::uint64_t op = rng.next_below(100);
+    if (op < 80) {
+      const auto src = static_cast<int>(rng.next_below(kRanks));
+      const auto dst = static_cast<int>((static_cast<std::uint64_t>(src) + 1 +
+                                         rng.next_below(kRanks - 1)) % kRanks);
+      const auto s_at = static_cast<std::size_t>(src);
+      const auto d_at = static_cast<std::size_t>(dst);
+      util::Buffer fb, rb;
+      Strategy::DepShadow fd, rd;
+      expect_same_work(fast[s_at]->strat->build(dst, fb, fd),
+                       ref[s_at]->strat->build(dst, rb, rd));
+      ASSERT_EQ(fb, rb) << "step " << step;
+      ASSERT_EQ(fd, rd) << "step " << step;
+      const std::size_t held = fast[d_at]->store.held_count();
+      const std::size_t vertices = fast[d_at]->strat->graph_vertices();
+      const Strategy::Work fw = fast[d_at]->strat->absorb(src, fb, fd);
+      expect_same_work(fw, ref[d_at]->strat->absorb(src, rb, rd));
+      const std::size_t added = fast[d_at]->store.held_count() - held;
+      duplicates += fw.events - added;
+      if constexpr (std::is_base_of_v<ManethoStrategy, S>) {
+        // Every event new to the store became a graph vertex.
+        EXPECT_EQ(fast[d_at]->strat->graph_vertices() - vertices, added);
+      }
+      deliver(dst, src);
+      expect_same(src);
+      expect_same(dst);
+      expect_held_through_exact(fast[d_at]->store);
+      for (int c = 0; c < kRanks; ++c) {
+        const auto creator = static_cast<std::uint32_t>(c);
+        if (fast[d_at]->store.held_through(creator) <
+            fast[d_at]->store.known(creator)) {
+          ++holes;
+        }
+      }
+    } else if (op < 92) {
+      // The EL advances some creators; a random half of the holders hear.
+      for (int c = 0; c < kRanks; ++c) {
+        const auto at = static_cast<std::size_t>(c);
+        if (rng.next_below(2) == 0 || history[at].size() <= el_stable[at]) continue;
+        el_stable[at] += 1 + rng.next_below(history[at].size() - el_stable[at]);
+      }
+      for (int h = 0; h < kRanks; ++h) {
+        if (rng.next_below(2) == 0) continue;
+        for (auto* world : {&fast, &ref}) {
+          DiffRank& r = *(*world)[static_cast<std::size_t>(h)];
+          r.store.set_stable(el_stable);
+          r.strat->on_stable(el_stable);
+        }
+        expect_same(h);
+      }
+    } else if (op < 96) {
+      const auto p = static_cast<std::size_t>(rng.next_below(kRanks));
+      snaps[p] = Snapshot{serialized(fast[p]->store), serialized(*fast[p]->strat),
+                          fast[p]->store.known_vector()};
+    } else {
+      const auto p = static_cast<int>(rng.next_below(kRanks));
+      const auto p_at = static_cast<std::size_t>(p);
+      if (!snaps[p_at]) continue;
+      for (auto* world : {&fast, &ref}) {
+        for (int r = 0; r < kRanks; ++r) {
+          DiffRank& rank = *(*world)[static_cast<std::size_t>(r)];
+          if (r != p) {
+            rank.strat->on_peer_restart(p, snaps[p_at]->known);
+            continue;
+          }
+          util::Buffer store = snaps[p_at]->store;
+          util::Buffer views = snaps[p_at]->views;
+          rank.store.restore(store);
+          rank.strat->restore(views);
+        }
+      }
+      for (int r = 0; r < kRanks; ++r) expect_same(r);
+      expect_held_through_exact(fast[p_at]->store);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(duplicates, 0u) << "no already-held event was piggybacked";
+  EXPECT_GT(holes, 0u) << "no store ever held a hole";
+}
+
+TEST(StreamedPiggyback, VcausalMatchesReference) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    run_differential<VcausalStrategy>(seed);
+  }
+}
+
+TEST(StreamedPiggyback, ManethoMatchesReference) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    run_differential<ManethoStrategy>(seed);
+  }
+}
+
+// --- factored parser fuzz ----------------------------------------------------------
+
+// A valid factored piggyback and its layout.
+struct FuzzSample {
+  util::Buffer bytes;
+  std::vector<std::size_t> payload;  // offsets of first_seq and event bytes
+  std::vector<std::uint32_t> counts;  // events per block
+  std::size_t last_count_at = 0;      // offset of the last block's count
+};
+
+FuzzSample fuzz_sample(util::Rng& rng) {
+  std::vector<ftapi::Determinant> events;
+  for (std::uint64_t r = 0, runs = 1 + rng.next_below(8); r < runs; ++r) {
+    const auto creator = static_cast<std::uint32_t>(rng.next_below(40));
+    const std::uint64_t first = 1 + rng.next_below(1000);
+    for (std::uint64_t q = 0, len = 1 + rng.next_below(20); q < len; ++q) {
+      events.push_back(det(creator, first + q,
+                           static_cast<std::uint32_t>(rng.next_below(64)),
+                           rng.next_u64(), static_cast<int>(rng.next_u64())));
+    }
+  }
+  FuzzSample s;
+  wire::factored_serialize(events, s.bytes);
+  const std::uint16_t nblocks = s.bytes.get_u16();
+  for (std::uint16_t b = 0; b < nblocks; ++b) {
+    s.bytes.skip(2);
+    s.last_count_at = s.bytes.cursor();
+    const std::uint16_t count = s.bytes.get_u16();
+    s.counts.push_back(count);
+    const std::size_t first_at = s.bytes.cursor();
+    const std::size_t end = first_at + 8 + count * wire::kFactoredPerEvent;
+    for (std::size_t at = first_at; at < end; ++at) s.payload.push_back(at);
+    s.bytes.skip(end - first_at);
+  }
+  s.bytes.rewind();
+  return s;
+}
+
+util::Buffer mutate(const util::Buffer& in, std::size_t at, std::uint8_t x) {
+  std::vector<std::uint8_t> bytes = in.bytes();
+  bytes[at] ^= x;
+  return util::Buffer(std::move(bytes));
+}
+
+TEST(WireFuzz, PayloadMutantsDecodeTheSameThroughBothParsers) {
+  util::Rng rng(77);
+  for (int sample = 0; sample < 150; ++sample) {
+    const FuzzSample s = fuzz_sample(rng);
+    for (int m = 0; m < 8; ++m) {
+      util::Buffer mutant = s.bytes;
+      for (std::uint64_t f = 0, flips = 1 + rng.next_below(4); f < flips; ++f) {
+        const std::size_t at = s.payload[rng.next_below(s.payload.size())];
+        mutant = mutate(mutant, at, static_cast<std::uint8_t>(1 + rng.next_below(255)));
+      }
+      util::Buffer a = mutant;
+      const std::vector<ftapi::Determinant> ref = wire::factored_parse(a);
+      EXPECT_EQ(a.remaining(), 0u);
+      ASSERT_EQ(read_skipping(mutant, 0), ref);
+      // Skipping drops exactly each block's prefix.
+      const auto skip = static_cast<std::uint32_t>(rng.next_below(6));
+      std::vector<ftapi::Determinant> expect;
+      std::size_t i = 0;
+      for (const std::uint32_t n : s.counts) {
+        for (std::uint32_t k = 0; k < n; ++k, ++i) {
+          if (k >= skip) expect.push_back(ref[i]);
+        }
+      }
+      ASSERT_EQ(read_skipping(mutant, skip), expect);
+    }
+  }
+}
+
+TEST(WireFuzzDeathTest, HeaderAndTruncationMutantsUnderrun) {
+  util::Rng rng(78);
+  for (int sample = 0; sample < 6; ++sample) {
+    const FuzzSample s = fuzz_sample(rng);
+    std::vector<util::Buffer> mutants;
+    // One more block than the bytes hold.
+    std::vector<std::uint8_t> bytes = s.bytes.bytes();
+    bytes[0] = static_cast<std::uint8_t>(bytes[0] + 1 + rng.next_below(3));
+    mutants.emplace_back(bytes);
+    // A longer last block.
+    bytes = s.bytes.bytes();
+    bytes[s.last_count_at] = static_cast<std::uint8_t>(bytes[s.last_count_at] + 1);
+    mutants.emplace_back(bytes);
+    // Truncated anywhere.
+    bytes = s.bytes.bytes();
+    bytes.resize(rng.next_below(bytes.size()));
+    mutants.emplace_back(bytes);
+    for (const util::Buffer& m : mutants) {
+      EXPECT_DEATH(
+          {
+            util::Buffer b = m;
+            wire::factored_parse(b);
+          },
+          "read underrun");
+      EXPECT_DEATH(read_skipping(m, 0), "read underrun");
+      EXPECT_DEATH(read_skipping(m, 3), "read underrun");
+    }
+  }
 }
 
 }  // namespace
