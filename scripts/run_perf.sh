@@ -9,9 +9,17 @@
 # (repo root BENCH_hotpath.json holds a "before" and an "after" report for
 # the latest overhaul).
 #
+# With --quick it is also a perf gate. bench_micro_hotpath times each fast
+# path against its reference in one process and prints the ratio as a
+# `DUEL <name> <ratio>x` line; host noise hits both sides, so the ratio
+# holds on a noisy CI runner where wall time does not. The run fails
+# (exit 1, after writing the report) when a duel ratio is below its floor in
+# the "duel_floors" object of the repo-root BENCH_hotpath.json, or when a
+# duel has no floor there. Absolute wall times are recorded, never gated.
+#
 # Usage: scripts/run_perf.sh [--quick] [--build-dir DIR] [--out FILE] [--label L]
-#   --quick      micro benches at reduced scale (CI perf-smoke uses this;
-#                crash = failure, regression = not)
+#   --quick      micro benches at reduced scale, duel floors gated (CI
+#                perf-smoke uses this)
 #   --build-dir  build tree containing bench_micro_hotpath and mpiv_run
 #                (default: build)
 #   --out        output JSON path (default: BENCH_hotpath.json)
@@ -45,8 +53,11 @@ MICRO_FLAGS=()
 [[ $QUICK -eq 1 ]] && MICRO_FLAGS=(--quick)
 
 MICRO_JSON=$(mktemp)
+MICRO_OUT=$(mktemp)
 SCN_JSON=$(mktemp)
-trap 'rm -f "$MICRO_JSON" "$SCN_JSON"' EXIT
+trap 'rm -f "$MICRO_JSON" "$MICRO_OUT" "$SCN_JSON"' EXIT
+# Read before the run: --out may overwrite BENCH_hotpath.json.
+FLOORS=$(grep -o '"duel_floors": {[^}]*}' BENCH_hotpath.json || true)
 
 # mpiv_run exits 0 on a clean grid, 3 on a degraded-but-complete report
 # (abandoned/failed points — chaos_soak abandons corners by design). Both
@@ -58,7 +69,30 @@ run_ok() {
 }
 
 echo "== micro hot-path benches =="
-"$BUILD_DIR/bench_micro_hotpath" ${MICRO_FLAGS[@]+"${MICRO_FLAGS[@]}"} --json "$MICRO_JSON"
+"$BUILD_DIR/bench_micro_hotpath" ${MICRO_FLAGS[@]+"${MICRO_FLAGS[@]}"} --json "$MICRO_JSON" |
+  tee "$MICRO_OUT"
+
+GATE_FAILED=0
+if [[ $QUICK -eq 1 ]]; then
+  echo "== duel floors (BENCH_hotpath.json) =="
+  while read -r _ name ratio _; do
+    ratio=${ratio%x}
+    floor=$(grep -o "\"$name\": [0-9.]*" <<< "$FLOORS" | sed 's/.*: //' || true)
+    if [[ -z $floor ]]; then
+      echo "error: DUEL $name has no floor in BENCH_hotpath.json duel_floors" >&2
+      GATE_FAILED=1
+    elif awk -v r="$ratio" -v f="$floor" 'BEGIN { exit !(r < f) }'; then
+      echo "error: DUEL $name ${ratio}x is below its floor ${floor}x" >&2
+      GATE_FAILED=1
+    else
+      printf '  %-20s %6sx >= floor %sx\n' "$name" "$ratio" "$floor"
+    fi
+  done < <(grep '^DUEL ' "$MICRO_OUT")
+  if ! grep -q '^DUEL ' "$MICRO_OUT"; then
+    echo "error: bench_micro_hotpath printed no DUEL line" >&2
+    GATE_FAILED=1
+  fi
+fi
 
 # Scenario driver timing: every bundled scenario in quick mode through
 # mpiv_run (wall clock per file; the JSON reports themselves are the
@@ -157,3 +191,7 @@ fi
   echo "}"
 } > "$OUT"
 echo "wrote $OUT"
+if [[ $GATE_FAILED -ne 0 ]]; then
+  echo "error: perf gate failed: a duel ratio is below its floor (see above)" >&2
+  exit 1
+fi

@@ -84,9 +84,7 @@ Strategy::Work LogOnStrategy::build(int dst, util::Buffer& out,
     view.raise_cap(creator, top);
   }
   events = causal_order(std::move(events));
-  for (const ftapi::Determinant& d : events) {
-    deps.emplace_back(d.dep_creator, d.dep_seq);
-  }
+  for (const ftapi::Determinant& d : events) deps.push_back(d.dep_word());
   wire::plain_serialize(events, out);
   w.events = events.size();
   w.bytes = out.size();
@@ -104,8 +102,7 @@ Strategy::Work LogOnStrategy::absorb(int src, util::Buffer& in,
              deps.size(), events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     ftapi::Determinant& d = events[i];
-    d.dep_creator = deps[i].first;
-    d.dep_seq = deps[i].second;
+    d.set_dep_word(deps[i]);
     if (store_->add(d)) graph_->add(d);
     note_learned(src, d.creator, d.seq);
   }

@@ -16,6 +16,8 @@ namespace mpiv::causal {
 
 class ManethoStrategy : public Strategy {
  public:
+  ManethoStrategy() { absorb_hook_ = true; }
+
   const char* name() const override { return "Manetho"; }
 
   void attach(EventStore* store, const net::CostModel* cost, int rank,

@@ -39,9 +39,7 @@ class Reference final : public S {
       if (top > view.sent[creator]) view.sent[creator] = top;
       if (raise_cap) view.raise_cap(creator, top);
     }
-    for (const ftapi::Determinant& d : events) {
-      deps.emplace_back(d.dep_creator, d.dep_seq);
-    }
+    for (const ftapi::Determinant& d : events) deps.push_back(d.dep_word());
     wire::factored_serialize(events, out);
     return events.size();
   }
@@ -53,8 +51,7 @@ class Reference final : public S {
                deps.size(), events.size());
     for (std::size_t i = 0; i < events.size(); ++i) {
       ftapi::Determinant& d = events[i];
-      d.dep_creator = deps[i].first;
-      d.dep_seq = deps[i].second;
+      d.set_dep_word(deps[i]);
       if (this->store_->add(d)) this->on_absorbed(d);
       this->note_learned(src, d.creator, d.seq);
     }

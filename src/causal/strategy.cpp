@@ -32,10 +32,10 @@ std::uint64_t Strategy::put_factored(int dst, bool raise_cap, util::Buffer& out,
     const std::uint64_t hi = store_->known(creator);
     if (hi <= lo) continue;
     std::uint64_t top = 0;
-    store_->for_range(creator, lo, hi, [&](const ftapi::Determinant& d) {
-      writer.put(d);
-      deps.emplace_back(d.dep_creator, d.dep_seq);
-      top = d.seq;
+    store_->for_runs(creator, lo, hi, [&](const EventStore::Run& r) {
+      writer.put_run(creator, r.first, r.count, r.records);
+      deps.insert(deps.end(), r.deps, r.deps + r.count);
+      top = r.first + r.count - 1;
     });
     if (top > view.sent[creator]) view.sent[creator] = top;
     if (raise_cap) view.raise_cap(creator, top);
@@ -60,11 +60,23 @@ std::uint64_t Strategy::take_factored(int src, util::Buffer& in,
                        : static_cast<std::uint32_t>(std::min<std::uint64_t>(
                              b.count, held - b.first + 1));
     reader.skip(dup);
-    for (std::uint32_t k = dup; k < b.count; ++k) {
-      ftapi::Determinant d = reader.event();
-      d.dep_creator = deps[next + k].first;
-      d.dep_seq = deps[next + k].second;
-      if (store_->add(d)) on_absorbed(d);
+    const std::uint32_t n = b.count - dup;
+    const std::uint64_t first = b.first + dup;
+    const std::uint8_t* records = reader.records(n);
+    const std::uint64_t* dep = deps.data() + next + dup;
+    if (store_->append_run(b.creator, first, n, records, dep)) {
+      if (absorb_hook_) {
+        store_->for_range(b.creator, first - 1, first + n - 1,
+                          [this](const ftapi::Determinant& d) { on_absorbed(d); });
+      }
+    } else {
+      // Above a hole: some of the rest may be held already.
+      for (std::uint32_t k = 0; k < n; ++k) {
+        ftapi::Determinant d = wire::decode_record(
+            records + k * wire::kFactoredPerEvent, b.creator, first + k);
+        d.set_dep_word(dep[k]);
+        if (store_->add(d) && absorb_hook_) on_absorbed(d);
+      }
     }
     next += b.count;
     note_learned(src, b.creator, b.first + b.count - 1);

@@ -86,7 +86,9 @@ class Strategy {
     holds_.assign(static_cast<std::size_t>(nranks), 0);
   }
 
-  using DepShadow = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+  /// Cross-edge targets of piggybacked events in piggyback order, one
+  /// Determinant::dep_word() each (the edge's creator is the event's src).
+  using DepShadow = std::vector<std::uint64_t>;
 
   /// Selects and serializes the events to piggyback to `dst`; `deps`
   /// receives the events' cross-edge targets in piggyback order.
@@ -134,11 +136,13 @@ class Strategy {
   virtual std::uint64_t put_factored(int dst, bool raise_cap, util::Buffer& out,
                                      DepShadow& deps);
   /// Merges a factored piggyback from `src` (deps in wire order), skipping
-  /// undecoded each block's prefix the store already holds; every event
-  /// new to the store goes to on_absorbed. Returns the events it carried.
+  /// undecoded each block's prefix the store already holds and copying the
+  /// rest in as one run when it all lies above what the store holds; every
+  /// event new to the store goes to on_absorbed if `absorb_hook_` is set.
+  /// Returns the events it carried.
   virtual std::uint64_t take_factored(int src, util::Buffer& in,
                                       const DepShadow& deps);
-  /// take_factored added `d` to the store.
+  /// take_factored added `d` to the store (called when `absorb_hook_`).
   virtual void on_absorbed(const ftapi::Determinant& d) { (void)d; }
 
   EventStore* store_ = nullptr;
@@ -147,6 +151,7 @@ class Strategy {
   int nranks_ = 0;
   std::vector<PeerView> views_;
   std::vector<std::uint64_t> holds_;  // put_factored's input, per creator
+  bool absorb_hook_ = false;  // take_factored feeds on_absorbed
 };
 
 enum class StrategyKind : std::uint8_t { kVcausal, kManetho, kLogOn };

@@ -98,21 +98,41 @@ FactoredWriter::FactoredWriter(util::Buffer& out, std::uint64_t max_events,
   base_ = out_.extend(cap_);
 }
 
-void FactoredWriter::open_block(const ftapi::Determinant& d) {
+void FactoredWriter::put_run(std::uint32_t creator, std::uint64_t first,
+                             std::size_t n, const std::uint8_t* records) {
+  while (n > 0) {
+    if (creator != creator_ || first != next_seq_ || count_ == UINT16_MAX) {
+      open_block(creator, first);
+    }
+    const std::size_t take = std::min<std::size_t>(n, UINT16_MAX - count_);
+    const std::size_t bytes = take * kFactoredPerEvent;
+    if (pos_ + bytes > cap_) grow(bytes);
+    std::memcpy(base_ + pos_, records, bytes);
+    pos_ += bytes;
+    count_ += static_cast<std::uint32_t>(take);
+    next_seq_ += take;
+    events_ += take;
+    first += take;
+    records += bytes;
+    n -= take;
+  }
+}
+
+void FactoredWriter::open_block(std::uint32_t creator, std::uint64_t first) {
   close_block();
   MPIV_CHECK(blocks_ < UINT16_MAX, "piggyback too large: over %u blocks",
              static_cast<unsigned>(UINT16_MAX));
-  MPIV_CHECK(d.creator <= UINT16_MAX, "creator %u exceeds u16", d.creator);
+  MPIV_CHECK(creator <= UINT16_MAX, "creator %u exceeds u16", creator);
   if (pos_ + kFactoredBlockHeader > cap_) grow(kFactoredBlockHeader);
   std::uint8_t* p = base_ + pos_;
-  const auto creator = static_cast<std::uint16_t>(d.creator);
-  std::memcpy(p, &creator, 2);  // count (p + 2) is written by close_block
-  std::memcpy(p + 4, &d.seq, 8);
+  const auto c16 = static_cast<std::uint16_t>(creator);
+  std::memcpy(p, &c16, 2);  // count (p + 2) is written by close_block
+  std::memcpy(p + 4, &first, 8);
   block_ = pos_;
   pos_ += kFactoredBlockHeader;
   ++blocks_;
-  creator_ = d.creator;
-  next_seq_ = d.seq;
+  creator_ = creator;
+  next_seq_ = first;
   count_ = 0;
 }
 
@@ -143,7 +163,6 @@ bool FactoredReader::next_block() {
   block_.count = in_.get_u16();
   block_.first = in_.get_u64();
   left_ = block_.count;
-  next_seq_ = block_.first;
   return true;
 }
 

@@ -11,13 +11,17 @@
 // paper's LU/4-nodes observation).
 //
 // The factored format has two implementations. The strategies stream it:
-// FactoredWriter writes events straight from the EventStore into the
+// FactoredWriter copies held runs straight from the EventStore into the
 // outgoing buffer, and FactoredReader hands the receiver one block header at
-// a time so it can skip, undecoded, the prefix it already holds.
-// factored_serialize / factored_parse round-trip a vector and are the
-// reference both are tested against. A block holds at most UINT16_MAX
-// events (longer runs continue in the next block) and a piggyback at most
-// UINT16_MAX blocks.
+// a time so it can skip, undecoded, the prefix it already holds and take the
+// rest as raw records. factored_serialize / factored_parse round-trip a
+// vector and are the reference both are tested against. A block holds at
+// most UINT16_MAX events (longer runs continue in the next block) and a
+// piggyback at most UINT16_MAX blocks.
+//
+// The factored per-event record is also the EventStore's storage layout, so
+// a run moves between store and buffer with one memcpy. encode_record /
+// decode_record are the only code that knows the record's fields.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +41,35 @@ constexpr std::uint64_t kFactoredPerEvent = 2 + 8 + 4;    // src,ssn,tag
 constexpr std::uint64_t kPlainHeader = 2;                  // u16 event count
 constexpr std::uint64_t kPlainPerEvent = 2 + 8 + 2 + 8 + 4;// creator,seq,src,ssn,tag
 
+/// Writes `d`'s factored record {src u16, ssn u64, tag u32} at `p`.
+inline void encode_record(std::uint8_t* p, const ftapi::Determinant& d) {
+  const auto src = static_cast<std::uint16_t>(d.src);
+  const auto tag = static_cast<std::uint32_t>(d.tag);
+  std::memcpy(p, &src, 2);
+  std::memcpy(p + 2, &d.ssn, 8);
+  std::memcpy(p + 10, &tag, 4);
+}
+/// Reads the record at `p` into `d`'s src, ssn and tag.
+inline void decode_record(const std::uint8_t* p, ftapi::Determinant& d) {
+  std::uint16_t src;
+  std::uint32_t tag;
+  std::memcpy(&src, p, 2);
+  std::memcpy(&d.ssn, p + 2, 8);
+  std::memcpy(&tag, p + 10, 4);
+  d.src = src;
+  d.tag = static_cast<std::int32_t>(tag);
+}
+/// The determinant `creator`'s event `seq` whose record is at `p` (no edge).
+inline ftapi::Determinant decode_record(const std::uint8_t* p,
+                                        std::uint32_t creator,
+                                        std::uint64_t seq) {
+  ftapi::Determinant d;
+  d.creator = creator;
+  d.seq = seq;
+  decode_record(p, d);
+  return d;
+}
+
 /// Serializes events factored by creator. `events` must be grouped by
 /// creator with contiguous seq runs inside a group (the builder emits runs).
 void factored_serialize(const std::vector<ftapi::Determinant>& events,
@@ -49,8 +82,8 @@ void plain_serialize(const std::vector<ftapi::Determinant>& events,
                      util::Buffer& out);
 std::vector<ftapi::Determinant> plain_parse(util::Buffer& in);
 
-/// Appends a factored piggyback to `out` one event at a time, producing the
-/// bytes factored_serialize gives for the same event sequence. The buffer
+/// Appends a factored piggyback to `out` run by run, producing the bytes
+/// factored_serialize gives for the same event sequence. The buffer
 /// is sized once, from the bounds given at construction (it still grows if
 /// they are exceeded); finish() must be called before `out` is used.
 class FactoredWriter {
@@ -58,29 +91,18 @@ class FactoredWriter {
   FactoredWriter(util::Buffer& out, std::uint64_t max_events,
                  std::uint64_t max_blocks);
 
-  void put(const ftapi::Determinant& d) {
-    if (d.creator != creator_ || d.seq != next_seq_ || count_ == UINT16_MAX) {
-      open_block(d);
-    }
-    if (pos_ + kFactoredPerEvent > cap_) grow(kFactoredPerEvent);
-    std::uint8_t* p = base_ + pos_;
-    const auto src = static_cast<std::uint16_t>(d.src);
-    const auto tag = static_cast<std::uint32_t>(d.tag);
-    std::memcpy(p, &src, 2);
-    std::memcpy(p + 2, &d.ssn, 8);
-    std::memcpy(p + 10, &tag, 4);
-    pos_ += kFactoredPerEvent;
-    ++count_;
-    ++next_seq_;
-    ++events_;
-  }
+  /// Appends `creator`'s events first .. first+n-1, whose `n` records lie
+  /// back to back at `records`. The run continues the open block when it
+  /// follows on from it; blocks are cut every UINT16_MAX events.
+  void put_run(std::uint32_t creator, std::uint64_t first, std::size_t n,
+               const std::uint8_t* records);
 
   /// Writes the block count and trims the unused room.
   void finish();
   std::uint64_t events() const { return events_; }
 
  private:
-  void open_block(const ftapi::Determinant& d);
+  void open_block(std::uint32_t creator, std::uint64_t first);
   void close_block();
   void grow(std::size_t n);
 
@@ -98,7 +120,7 @@ class FactoredWriter {
 };
 
 /// Reads a factored piggyback block by block: each block's header, then its
-/// events, decoded one at a time or skipped in O(1).
+/// events, taken as raw records or skipped in O(1).
 class FactoredReader {
  public:
   struct Block {
@@ -114,32 +136,21 @@ class FactoredReader {
   bool next_block();
   const Block& block() const { return block_; }
 
-  /// Skips the next `n` events of the current block without decoding them.
-  void skip(std::uint32_t n) {
-    MPIV_CHECK(n <= left_, "skip %u of %u events", n, left_);
-    in_.skip(static_cast<std::size_t>(n) * kFactoredPerEvent);
-    next_seq_ += n;
+  /// Takes the next `n` events of the current block as raw records
+  /// (n * kFactoredPerEvent bytes, valid while the input is).
+  const std::uint8_t* records(std::uint32_t n) {
+    MPIV_CHECK(n <= left_, "take %u of %u events", n, left_);
     left_ -= n;
+    return in_.read_span(static_cast<std::size_t>(n) * kFactoredPerEvent);
   }
-  /// Decodes the next event of the current block.
-  ftapi::Determinant event() {
-    MPIV_CHECK(left_ > 0, "read past the end of a block");
-    ftapi::Determinant d;
-    d.creator = block_.creator;
-    d.seq = next_seq_++;
-    d.src = in_.get_u16();
-    d.ssn = in_.get_u64();
-    d.tag = static_cast<std::int32_t>(in_.get_u32());
-    --left_;
-    return d;
-  }
+  /// Skips the next `n` events of the current block without decoding them.
+  void skip(std::uint32_t n) { records(n); }
 
  private:
   util::Buffer& in_;
   std::uint32_t blocks_left_;
   Block block_;
-  std::uint32_t left_ = 0;      // events of the current block not yet read
-  std::uint64_t next_seq_ = 0;  // seq of the next one
+  std::uint32_t left_ = 0;  // events of the current block not yet read
 };
 
 }  // namespace mpiv::causal::wire

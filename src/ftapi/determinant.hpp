@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "util/buffer.hpp"
+#include "util/check.hpp"
 
 namespace mpiv::ftapi {
 
@@ -26,13 +27,38 @@ struct Determinant {
   // Simulator-side causal dependency (antecedence-graph edge target): the
   // latest event of `src` known when the message was sent. Real Manetho
   // recovers this from the structure of its graph-fragment piggyback, so it
-  // is NOT counted as wire bytes (see docs/DESIGN.md §2).
+  // is NOT counted as wire bytes (see docs/DESIGN.md §2). `dep_creator` is
+  // `src` or UINT32_MAX (no edge, `dep_seq` 0), so the edge packs into one
+  // word: dep_word().
   std::uint32_t dep_creator = UINT32_MAX;
   std::uint64_t dep_seq = 0;
+
+  /// dep_word() of a determinant without a cross edge.
+  static constexpr std::uint64_t kNoDep = UINT64_MAX;
 
   bool operator==(const Determinant& o) const {
     return creator == o.creator && seq == o.seq && src == o.src &&
            ssn == o.ssn && tag == o.tag;
+  }
+
+  /// The cross edge as one word: `dep_seq`, or kNoDep when there is none.
+  /// The edge's creator is implied: it is always `src`.
+  std::uint64_t dep_word() const {
+    if (dep_creator == UINT32_MAX) {
+      MPIV_CHECK(dep_seq == 0, "edge-less determinant (%u,%llu) with dep_seq %llu",
+                 creator, static_cast<unsigned long long>(seq),
+                 static_cast<unsigned long long>(dep_seq));
+      return kNoDep;
+    }
+    MPIV_CHECK(dep_creator == src && dep_seq != kNoDep,
+               "cross edge of (%u,%llu) on rank %u, not its src %u", creator,
+               static_cast<unsigned long long>(seq), dep_creator, src);
+    return dep_seq;
+  }
+  /// Inverse of dep_word() (`src` must already be set).
+  void set_dep_word(std::uint64_t w) {
+    dep_creator = w == kNoDep ? UINT32_MAX : src;
+    dep_seq = w == kNoDep ? 0 : w;
   }
 
   /// Bytes of one determinant in the Event Logger / recovery wire format.

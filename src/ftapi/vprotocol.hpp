@@ -43,9 +43,10 @@ struct PiggybackOut {
   // payload copies and generic logging bookkeeping.
   sim::Time stats_cpu = 0;
   std::uint64_t events = 0; // events piggybacked (Fig. 7 probe)
-  // Cross-edge targets of the piggybacked events, in piggyback order
-  // (simulator-side shadow; see net::Message::dep_shadow).
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> deps;
+  // Cross-edge targets of the piggybacked events, in piggyback order, one
+  // Determinant::dep_word() each (simulator-side shadow; see
+  // net::Message::dep_shadow).
+  std::vector<std::uint64_t> deps;
 };
 
 class VProtocol {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "util/buffer.hpp"
@@ -73,8 +72,9 @@ struct Message {
   // from the positional structure of its graph-fragment piggyback, so they
   // are NOT wire bytes (docs/DESIGN.md §2); carrying them out of band keeps the
   // byte accounting identical to the paper's formats while keeping every
-  // node's antecedence graph causally exact.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> dep_shadow;
+  // node's antecedence graph causally exact. One word per event: the edge's
+  // creator is always the event's src (ftapi::Determinant::dep_word).
+  std::vector<std::uint64_t> dep_shadow;
 
   // Generic small scalar for control messages (avoids a body round-trip).
   std::uint64_t arg = 0;

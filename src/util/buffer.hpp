@@ -42,6 +42,8 @@ class ByteReader {
   std::size_t remaining() const { return size() - cursor_; }
   void rewind() { cursor_ = 0; }
   void skip(std::size_t n) { take(n); }
+  /// Takes the next `n` bytes in place (valid while the bytes are).
+  const std::uint8_t* read_span(std::size_t n) { return data() + take(n); }
 
   std::uint8_t get_u8() { return data()[take(1)]; }
   std::uint16_t get_u16() { return get_raw<std::uint16_t>(); }

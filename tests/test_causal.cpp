@@ -4,11 +4,13 @@
 // no-event-sent-twice, graph-pruning soundness (Manetho/LogOn piggyback a
 // subset of Vcausal's), and LogOn's partial-order emission. The streamed
 // factored path is checked against its reference (causal/reference_strategy
-// .hpp) message by message, and its block reader is fuzzed against
-// wire::factored_parse.
+// .hpp) message by message, the columnar EventStore against
+// ReferenceEventStore operation by operation, and the byte parsers (block
+// reader, Determinant::deserialize, EventStore::restore) are fuzzed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 #include <set>
 #include <type_traits>
@@ -17,6 +19,7 @@
 #include "causal/event_store.hpp"
 #include "causal/logon_strategy.hpp"
 #include "causal/manetho_strategy.hpp"
+#include "causal/reference_event_store.hpp"
 #include "causal/reference_strategy.hpp"
 #include "causal/sender_log.hpp"
 #include "causal/vcausal_strategy.hpp"
@@ -90,23 +93,31 @@ TEST(Wire, FactoredSplitsNonContiguousRuns) {
   EXPECT_EQ(parsed[1].seq, 3u);
 }
 
-// The block reader, skipping the first `skip` events of every block.
+// The block reader, skipping the first `skip` events of every block and
+// decoding the rest one record at a time.
 std::vector<ftapi::Determinant> read_skipping(util::Buffer in, std::uint32_t skip) {
   wire::FactoredReader reader(in);
   std::vector<ftapi::Determinant> out;
   while (reader.next_block()) {
-    const std::uint32_t n = reader.block().count;
-    reader.skip(std::min(skip, n));
-    for (std::uint32_t k = std::min(skip, n); k < n; ++k) out.push_back(reader.event());
+    const wire::FactoredReader::Block& b = reader.block();
+    reader.skip(std::min(skip, b.count));
+    for (std::uint32_t k = std::min(skip, b.count); k < b.count; ++k) {
+      out.push_back(wire::decode_record(reader.records(1), b.creator, b.first + k));
+    }
   }
   return out;
 }
 
+// The streaming writer, fed one single-event run per event.
 util::Buffer stream(const std::vector<ftapi::Determinant>& events,
                     util::Buffer out = {}, std::uint64_t max_events = 0,
                     std::uint64_t max_blocks = 0) {
   wire::FactoredWriter writer(out, max_events, max_blocks);
-  for (const ftapi::Determinant& d : events) writer.put(d);
+  std::uint8_t record[wire::kFactoredPerEvent];
+  for (const ftapi::Determinant& d : events) {
+    wire::encode_record(record, d);
+    writer.put_run(d.creator, d.seq, 1, record);
+  }
   writer.finish();
   return out;
 }
@@ -171,8 +182,8 @@ TEST(EventStoreTest, StablePruningDropsCoveredEvents) {
   s.set_stable({0, 7, 0, 0});
   EXPECT_EQ(s.stable(1), 7u);
   EXPECT_EQ(s.known(1), 10u);
-  EXPECT_EQ(s.find(1, 7), nullptr);
-  EXPECT_NE(s.find(1, 8), nullptr);
+  EXPECT_FALSE(s.holds(1, 7));
+  EXPECT_TRUE(s.holds(1, 8));
   ftapi::DeterminantList out;
   s.collect(1, out);
   EXPECT_EQ(out.size(), 3u);
@@ -256,6 +267,248 @@ TEST(EventStoreTest, HeldThroughResets) {
   EXPECT_EQ(s.held_through(1), 0u);
   s.add(det(1, 1, 0, 1));
   EXPECT_EQ(s.held_through(1), 2u);
+}
+
+// --- columnar event store vs the reference ---------------------------------------
+
+template <class Store>
+std::vector<ftapi::Determinant> collect_all(const Store& s) {
+  std::vector<ftapi::Determinant> out;
+  for (int c = 0; c < s.nranks(); ++c) s.collect(static_cast<std::uint32_t>(c), out);
+  return out;
+}
+
+template <class Store>
+std::vector<ftapi::Determinant> range_of(const Store& s, std::uint32_t c,
+                                         std::uint64_t lo, std::uint64_t hi) {
+  std::vector<ftapi::Determinant> out;
+  s.for_range(c, lo, hi, [&out](const ftapi::Determinant& d) { out.push_back(d); });
+  return out;
+}
+
+// Determinant::operator== leaves the cross edge out; these compare it too.
+void expect_same_dets(const std::vector<ftapi::Determinant>& a,
+                      const std::vector<ftapi::Determinant>& b) {
+  ASSERT_EQ(a, b);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].dep_creator, b[i].dep_creator) << "event " << i;
+    ASSERT_EQ(a[i].dep_seq, b[i].dep_seq) << "event " << i;
+  }
+}
+
+// The run API, decoded, is for_range; runs are maximal, so two runs with
+// adjacent seqs are split at the end of the ring (their records are not
+// adjacent). Returns how many such wrap splits it saw.
+std::uint64_t expect_runs_match_range(const EventStore& s, std::uint32_t c,
+                                      std::uint64_t lo, std::uint64_t hi) {
+  std::vector<ftapi::Determinant> decoded;
+  std::uint64_t wraps = 0;
+  EventStore::Run prev;
+  s.for_runs(c, lo, hi, [&](const EventStore::Run& r) {
+    EXPECT_GT(r.count, 0u);
+    if (prev.count > 0 && prev.first + prev.count == r.first) {
+      EXPECT_NE(prev.records + prev.count * wire::kFactoredPerEvent, r.records)
+          << "run at " << r.first << " is not maximal";
+      ++wraps;
+    }
+    for (std::size_t k = 0; k < r.count; ++k) {
+      ftapi::Determinant d = wire::decode_record(
+          r.records + k * wire::kFactoredPerEvent, c, r.first + k);
+      d.set_dep_word(r.deps[k]);
+      decoded.push_back(d);
+    }
+    prev = r;
+  });
+  expect_same_dets(decoded, range_of(s, c, lo, hi));
+  return wraps;
+}
+
+// Everything observable about the two stores is equal.
+void expect_same_stores(const EventStore& fast, const ReferenceEventStore& ref,
+                        util::Rng& rng, std::uint64_t* wraps = nullptr) {
+  ASSERT_EQ(fast.held_count(), ref.held_count());
+  ASSERT_EQ(fast.known_vector(), ref.known_vector());
+  ASSERT_EQ(fast.stable_vector(), ref.stable_vector());
+  for (int c = 0; c < fast.nranks(); ++c) {
+    const auto creator = static_cast<std::uint32_t>(c);
+    ASSERT_EQ(fast.held_through(creator), ref.held_through(creator)) << "creator " << c;
+    const std::uint64_t top = fast.known(creator) + 2;
+    const std::uint64_t lo = rng.next_below(top + 1);
+    const std::uint64_t hi = lo + rng.next_below(top + 1);
+    expect_same_dets(range_of(fast, creator, lo, hi), range_of(ref, creator, lo, hi));
+    const std::uint64_t w = expect_runs_match_range(fast, creator, 0, top);
+    if (wraps) *wraps += w;
+    expect_runs_match_range(fast, creator, lo, hi);
+    for (int probe = 0; probe < 4; ++probe) {
+      const std::uint64_t q = rng.next_below(top + 1);
+      ASSERT_EQ(fast.holds(creator, q), ref.holds(creator, q)) << c << " " << q;
+    }
+  }
+  expect_same_dets(collect_all(fast), collect_all(ref));
+  util::Buffer fb, rb;
+  fast.serialize(fb);
+  ref.serialize(rb);
+  ASSERT_EQ(fb, rb);
+}
+
+// A determinant of `creator` at `seq` with a random src and, half the
+// time, a cross edge on that src (the only edge CausalProtocol creates).
+ftapi::Determinant random_det(util::Rng& rng, std::uint32_t creator,
+                              std::uint64_t seq, int nranks) {
+  ftapi::Determinant d =
+      det(creator, seq, static_cast<std::uint32_t>(rng.next_below(nranks)),
+          rng.next_u64(), static_cast<int>(rng.next_u64()));
+  if (rng.next_below(2) == 0) {
+    d.dep_creator = d.src;
+    d.dep_seq = rng.next_below(1000);
+  }
+  return d;
+}
+
+// Seeded operation sequences over both stores: adds in order, out of order
+// (holes above stable), duplicated and at or below stable; whole runs
+// through append_run (added one at a time to the reference); set_stable
+// through holes and past everything held; serialize -> restore into a store
+// with other contents; reset. Stability trails the adds, so the rings wrap
+// and grow while wrapped.
+void run_store_differential(std::uint64_t seed) {
+  constexpr int kRanks = 3;
+  constexpr int kSteps = 4000;
+  util::Rng rng(seed);
+  EventStore fast(kRanks);
+  ReferenceEventStore ref(kRanks);
+  std::uint64_t wraps = 0, holes = 0, appended = 0, refused = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE(step);
+    const auto c = static_cast<std::uint32_t>(rng.next_below(kRanks));
+    const std::uint64_t known = fast.known(c);
+    const std::uint64_t stable = fast.stable(c);
+    const std::uint64_t op = rng.next_below(100);
+    if (op < 40) {  // in order
+      const ftapi::Determinant d = random_det(rng, c, known + 1, kRanks);
+      ASSERT_EQ(fast.add(d), ref.add(d));
+    } else if (op < 52) {  // out of order: leaves a hole
+      const ftapi::Determinant d =
+          random_det(rng, c, known + 2 + rng.next_below(40), kRanks);
+      ASSERT_EQ(fast.add(d), ref.add(d));
+    } else if (op < 62) {  // duplicate, fills a hole, or at/below stable
+      const ftapi::Determinant d =
+          random_det(rng, c, 1 + rng.next_below(known + 1), kRanks);
+      ASSERT_EQ(fast.add(d), ref.add(d));
+    } else if (op < 77) {  // a run, above or overlapping what is held
+      const std::uint64_t n = 1 + rng.next_below(rng.next_below(8) == 0 ? 300 : 30);
+      const std::uint64_t floor = std::max(known, stable);
+      const std::uint64_t first = rng.next_below(3) == 0
+                                      ? stable + 1 + rng.next_below(floor + 1 - stable)
+                                      : floor + 1 + rng.next_below(5);
+      std::vector<std::uint8_t> records(n * wire::kFactoredPerEvent);
+      std::vector<std::uint64_t> deps(n);
+      std::vector<ftapi::Determinant> run;
+      for (std::uint64_t k = 0; k < n; ++k) {
+        run.push_back(random_det(rng, c, first + k, kRanks));
+        wire::encode_record(records.data() + k * wire::kFactoredPerEvent, run.back());
+        deps[k] = run.back().dep_word();
+      }
+      if (fast.append_run(c, first, n, records.data(), deps.data())) {
+        ++appended;
+        ASSERT_GT(first, floor);
+      } else {
+        ++refused;
+        for (const ftapi::Determinant& d : run) fast.add(d);
+      }
+      for (const ftapi::Determinant& d : run) ref.add(d);
+    } else if (op < 93) {  // stability: through holes, sometimes past known
+      std::vector<std::uint64_t> st = fast.stable_vector();
+      for (int k = 0; k < kRanks; ++k) {
+        const auto at = static_cast<std::size_t>(k);
+        const std::uint64_t top = fast.known(static_cast<std::uint32_t>(k)) + 4;
+        if (rng.next_below(2) == 0 || st[at] >= top) continue;
+        st[at] += 1 + rng.next_below(top - st[at]);
+      }
+      fast.set_stable(st);
+      ref.set_stable(st);
+    } else if (op < 99) {  // a checkpoint image, restored over other contents
+      util::Buffer fi, ri;
+      fast.serialize(fi);
+      ref.serialize(ri);
+      EventStore other(kRanks);
+      for (std::uint64_t q = 1; q <= 300; ++q) other.add(random_det(rng, c, q, kRanks));
+      other.restore(fi);
+      EXPECT_EQ(fi.remaining(), 0u);
+      util::Buffer again;
+      other.serialize(again);
+      ASSERT_EQ(again, ri);
+      for (std::uint64_t q = 1; q <= 40; ++q) {
+        const ftapi::Determinant d = random_det(rng, c, known + q, kRanks);
+        fast.add(d);
+        ref.add(d);
+      }
+      fi.rewind();
+      ri.rewind();
+      fast.restore(fi);
+      ref.restore(ri);
+    } else {
+      fast.reset();
+      ref.reset();
+    }
+    for (int k = 0; k < kRanks; ++k) {
+      const auto creator = static_cast<std::uint32_t>(k);
+      if (fast.held_through(creator) < fast.known(creator)) ++holes;
+    }
+    expect_same_stores(fast, ref, rng, &wraps);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(wraps, 0u) << "no run ever wrapped the ring";
+  EXPECT_GT(holes, 0u) << "no store ever held a hole";
+  EXPECT_GT(appended, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+TEST(EventStoreDiff, MatchesReferenceOverSeededOps) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    run_store_differential(seed);
+  }
+}
+
+TEST(EventStoreDiff, RunsLongerThanU16) {
+  // Three 70,000-event runs through append_run (one at a time into the
+  // reference), stability landing mid-run between them so each next run
+  // wraps the ring and grows it; streamed back as runs they must make the
+  // reference bytes, continuing in a new block every UINT16_MAX events.
+  util::Rng rng(17);
+  EventStore fast(2);
+  ReferenceEventStore ref(2);
+  constexpr std::size_t kRun = 70000;
+  std::uint64_t first = 1;
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    std::vector<std::uint8_t> records(kRun * wire::kFactoredPerEvent);
+    std::vector<std::uint64_t> deps(kRun);
+    for (std::size_t k = 0; k < kRun; ++k) {
+      const ftapi::Determinant d = random_det(rng, 1, first + k, 2);
+      wire::encode_record(records.data() + k * wire::kFactoredPerEvent, d);
+      deps[k] = d.dep_word();
+      ref.add(d);
+    }
+    ASSERT_TRUE(fast.append_run(1, first, kRun, records.data(), deps.data()));
+    expect_same_stores(fast, ref, rng);
+    const std::vector<ftapi::Determinant> held = range_of(ref, 1, 0, UINT64_MAX);
+    util::Buffer expect;
+    wire::factored_serialize(held, expect);
+    util::Buffer got;
+    wire::FactoredWriter writer(got, held.size(), 1);
+    fast.for_runs(1, 0, UINT64_MAX, [&writer](const EventStore::Run& r) {
+      writer.put_run(1, r.first, r.count, r.records);
+    });
+    writer.finish();
+    ASSERT_EQ(got, expect);
+    first += kRun;
+    const std::vector<std::uint64_t> stable = {0, first - 1 - kRun / 2 - round * 1000};
+    fast.set_stable(stable);
+    ref.set_stable(stable);
+    expect_same_stores(fast, ref, rng);
+  }
 }
 
 // --- antecedence graph ----------------------------------------------------------
@@ -422,7 +675,7 @@ TEST_P(StrategyProperty, NeverSendsReceiverItsOwnEvents) {
   std::vector<ftapi::Determinant> theirs;
   for (std::uint64_t q = 1; q <= 4; ++q) {
     theirs.push_back(det(1, q, 2, q));
-    deps.emplace_back(UINT32_MAX, 0);
+    deps.push_back(ftapi::Determinant::kNoDep);
   }
   if (GetParam() == StrategyKind::kLogOn) {
     wire::plain_serialize(theirs, in);
@@ -500,7 +753,10 @@ TEST(LogOnOrder, EmissionRespectsPartialOrder) {
       }
     }
     // Cross-edge antecedent likewise.
-    const auto [dc, ds] = deps[i];
+    ftapi::Determinant edge = d;
+    edge.set_dep_word(deps[i]);
+    const std::uint32_t dc = edge.dep_creator;
+    const std::uint64_t ds = edge.dep_seq;
     if (dc != UINT32_MAX && ds > 0) {
       bool in_set = false;
       for (const auto& e : emitted) {
@@ -586,9 +842,9 @@ void expect_held_through_exact(const EventStore& s) {
     const std::uint64_t held = s.held_through(creator);
     ASSERT_GE(held, s.stable(creator));
     for (std::uint64_t q = s.stable(creator) + 1; q <= held; ++q) {
-      ASSERT_NE(s.find(creator, q), nullptr) << "creator " << c << " seq " << q;
+      ASSERT_TRUE(s.holds(creator, q)) << "creator " << c << " seq " << q;
     }
-    EXPECT_EQ(s.find(creator, held + 1), nullptr) << "creator " << c;
+    EXPECT_FALSE(s.holds(creator, held + 1)) << "creator " << c;
   }
 }
 
@@ -836,6 +1092,157 @@ TEST(WireFuzzDeathTest, HeaderAndTruncationMutantsUnderrun) {
       EXPECT_DEATH(read_skipping(m, 0), "read underrun");
       EXPECT_DEATH(read_skipping(m, 3), "read underrun");
     }
+  }
+}
+
+// --- determinant and checkpoint-image parser fuzz --------------------------------
+
+TEST(DeterminantFuzz, EveryByteStringRoundTrips) {
+  util::Rng rng(93);
+  for (int i = 0; i < 2000; ++i) {
+    std::vector<std::uint8_t> bytes(ftapi::Determinant::kWireSize + rng.next_below(8));
+    for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+    util::Buffer in(bytes);
+    const ftapi::Determinant d = ftapi::Determinant::deserialize(in);
+    EXPECT_EQ(in.remaining(), bytes.size() - ftapi::Determinant::kWireSize);
+    util::Buffer out;
+    d.serialize(out);
+    bytes.resize(ftapi::Determinant::kWireSize);
+    ASSERT_EQ(out.bytes(), bytes);
+  }
+}
+
+TEST(DeterminantFuzzDeathTest, TruncationsUnderrun) {
+  util::Rng rng(94);
+  for (int i = 0; i < 6; ++i) {
+    std::vector<std::uint8_t> bytes(rng.next_below(ftapi::Determinant::kWireSize));
+    for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+    EXPECT_DEATH(
+        {
+          util::Buffer in(bytes);
+          ftapi::Determinant::deserialize(in);
+        },
+        "read underrun");
+  }
+}
+
+// An EventStore checkpoint image and where each held determinant sits.
+struct ImageSample {
+  static constexpr int kRanks = 4;
+  // Offsets inside one image entry: the wire determinant, then the edge.
+  static constexpr std::size_t kCreatorAt = 0, kSeqAt = 2, kSrcAt = 10,
+                               kSsnAt = 12, kDepCreatorAt = 24, kDepSeqAt = 26;
+  struct Entry {
+    std::size_t at = 0;
+    bool edge = false;
+    std::uint16_t src = 0;
+  };
+  util::Buffer bytes;
+  std::vector<Entry> entries;
+};
+
+ImageSample image_sample(util::Rng& rng) {
+  EventStore s(ImageSample::kRanks);
+  for (int i = 0; i < 120; ++i) {
+    const auto c = static_cast<std::uint32_t>(rng.next_below(ImageSample::kRanks));
+    const std::uint64_t gap = rng.next_below(5) == 0 ? rng.next_below(6) : 0;
+    s.add(random_det(rng, c, s.known(c) + 1 + gap, ImageSample::kRanks));
+  }
+  std::vector<std::uint64_t> stable = s.known_vector();
+  for (std::uint64_t& v : stable) v /= 3;
+  s.set_stable(stable);
+  ImageSample x;
+  s.serialize(x.bytes);
+  for (int c = 0; c < ImageSample::kRanks; ++c) {
+    x.bytes.skip(16);
+    for (std::uint32_t i = 0, n = x.bytes.get_u32(); i < n; ++i) {
+      ImageSample::Entry e;
+      e.at = x.bytes.cursor();
+      x.bytes.skip(ImageSample::kSrcAt);
+      e.src = x.bytes.get_u16();
+      x.bytes.skip(ImageSample::kDepCreatorAt - ImageSample::kSsnAt);
+      e.edge = x.bytes.get_u16() != 0xFFFF;
+      x.bytes.skip(8);
+      x.entries.push_back(e);
+    }
+  }
+  EXPECT_EQ(x.bytes.remaining(), 0u);
+  x.bytes.rewind();
+  return x;
+}
+
+void put16(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint16_t v) {
+  std::memcpy(bytes.data() + at, &v, 2);
+}
+
+TEST(ImageFuzz, FieldMutantsRestoreLikeTheReference) {
+  // Flips in ssn, in a seq's low byte (duplicates, events at or below
+  // stable, new holes), in the edge seq of an event with an edge and in the
+  // src of one without: both stores restore the same knowledge.
+  util::Rng rng(91);
+  for (int sample = 0; sample < 100; ++sample) {
+    const ImageSample x = image_sample(rng);
+    for (int m = 0; m < 8; ++m) {
+      std::vector<std::uint8_t> bytes = x.bytes.bytes();
+      for (std::uint64_t f = 0, flips = 1 + rng.next_below(3); f < flips; ++f) {
+        const ImageSample::Entry& e = x.entries[rng.next_below(x.entries.size())];
+        std::size_t at = e.at;
+        switch (rng.next_below(4)) {
+          case 0: at += ImageSample::kSsnAt + rng.next_below(8); break;
+          case 1: at += ImageSample::kSeqAt; break;
+          case 2:
+            at += e.edge ? ImageSample::kDepSeqAt + rng.next_below(7)
+                         : ImageSample::kSrcAt + rng.next_below(2);
+            break;
+          default: at += ImageSample::kSsnAt + 8 + rng.next_below(4); break;  // tag
+        }
+        bytes[at] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+      }
+      util::Buffer fi(bytes), ri(bytes);
+      EventStore fast(ImageSample::kRanks);
+      ReferenceEventStore ref(ImageSample::kRanks);
+      fast.restore(fi);
+      ref.restore(ri);
+      EXPECT_EQ(fi.remaining(), 0u);
+      expect_same_stores(fast, ref, rng);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(ImageFuzzDeathTest, BadEdgesCreatorsAndTruncationsDie) {
+  util::Rng rng(92);
+  const auto restore = [](const std::vector<std::uint8_t>& bytes) {
+    util::Buffer in(bytes);
+    EventStore s(ImageSample::kRanks);
+    s.restore(in);
+  };
+  for (int sample = 0; sample < 4; ++sample) {
+    const ImageSample x = image_sample(rng);
+    std::vector<const ImageSample::Entry*> edged, bare;
+    for (const ImageSample::Entry& e : x.entries) (e.edge ? edged : bare).push_back(&e);
+    ASSERT_FALSE(edged.empty());
+    ASSERT_FALSE(bare.empty());
+    // An edge on a rank other than the event's src is never repacked.
+    const ImageSample::Entry& e = *edged[rng.next_below(edged.size())];
+    std::vector<std::uint8_t> bytes = x.bytes.bytes();
+    put16(bytes, e.at + ImageSample::kDepCreatorAt,
+          static_cast<std::uint16_t>((e.src + 1 + rng.next_below(100)) % 0xFFFF));
+    EXPECT_DEATH(restore(bytes), "cross edge of");
+    // No edge, yet an edge seq.
+    const ImageSample::Entry& b = *bare[rng.next_below(bare.size())];
+    bytes = x.bytes.bytes();
+    bytes[b.at + ImageSample::kDepSeqAt + rng.next_below(8)] ^= 0x5a;
+    EXPECT_DEATH(restore(bytes), "edge-less determinant");
+    // An event filed under another creator.
+    bytes = x.bytes.bytes();
+    const ImageSample::Entry& w = x.entries[rng.next_below(x.entries.size())];
+    bytes[w.at + ImageSample::kCreatorAt] ^= static_cast<std::uint8_t>(1 + rng.next_below(3));
+    EXPECT_DEATH(restore(bytes), "image holds creator");
+    // Truncated anywhere.
+    bytes = x.bytes.bytes();
+    bytes.resize(rng.next_below(bytes.size()));
+    EXPECT_DEATH(restore(bytes), "read underrun");
   }
 }
 

@@ -14,6 +14,7 @@
 #include "scenario/runner.hpp"
 #include "trace/divergence.hpp"
 #include "trace/trace.hpp"
+#include "util/rng.hpp"
 
 namespace mpiv {
 namespace {
@@ -125,6 +126,60 @@ TEST(TraceSink, ParserRejectsGarbage) {
   EXPECT_THROW(trace::parse_stream("# mpiv-trace v1\n10 r0 send 0\n"),
                std::runtime_error);  // short record
   EXPECT_NO_THROW(trace::parse_stream("# mpiv-trace v1\n"));
+}
+
+// Seeded mutants of a real dump (truncations, byte flips, spliced bytes)
+// either parse or throw std::runtime_error: the parser never crashes,
+// including under the ASan+UBSan CI leg.
+TEST(TraceSink, ParserSurvivesSeededMutants) {
+  util::Rng rng(31);
+  trace::TraceSink sink(3, 1, 64);
+  for (int i = 0; i < 80; ++i) {
+    const Record r = rec(static_cast<sim::Time>(rng.next_below(1000000)),
+                         static_cast<Kind>(rng.next_below(8)),
+                         static_cast<std::int32_t>(rng.next_below(5)) - 1,
+                         rng.next_u64(), rng.next_below(100000), rng.next_u64(),
+                         static_cast<std::uint8_t>(rng.next_below(12)));
+    const std::uint64_t lane = rng.next_below(5);
+    trace::Lane* l = lane < 3   ? sink.rank_lane(static_cast<int>(lane))
+                     : lane == 3 ? sink.el_lane(0)
+                                 : sink.engine_lane();
+    l->push(r);
+  }
+  const std::string dump = sink.dump();
+  ASSERT_EQ(trace::parse_stream(dump).records.size(), 80u);
+  static constexpr char kSplice[] = "#\n\0-%x 0123456789 sendr0el";
+  const std::string splice(kSplice, sizeof(kSplice) - 1);
+  int parsed = 0, threw = 0;
+  for (int m = 0; m < 3000; ++m) {
+    std::string text = dump;
+    switch (rng.next_below(3)) {
+      case 0:
+        text.resize(rng.next_below(text.size()));
+        break;
+      case 1:
+        for (std::uint64_t f = 0, n = 1 + rng.next_below(6); f < n; ++f) {
+          text[rng.next_below(text.size())] ^=
+              static_cast<char>(1 + rng.next_below(255));
+        }
+        break;
+      default:
+        for (std::uint64_t f = 0, n = 1 + rng.next_below(6); f < n; ++f) {
+          text.insert(text.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.next_below(text.size() + 1)),
+                      splice[rng.next_below(splice.size())]);
+        }
+        break;
+    }
+    try {
+      trace::parse_stream(text);
+      ++parsed;
+    } catch (const std::runtime_error&) {
+      ++threw;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(threw, 0);
 }
 
 // ---------------------------------------------------------------------------
