@@ -2,12 +2,12 @@
 //
 // Times the inner loops every protocol variant executes per message —
 // determinant storage (EventStore), antecedence-graph reachability,
-// sender-log churn, engine event scheduling, the Vcausal piggyback
-// exchange — plus one end-to-end cluster run, and emits a machine-readable
-// JSON report (wall clock, throughput, peak RSS). Three duels run a fast
-// path and its reference over identical inputs in one process (run_duel);
-// their ratios are printed at the end as `DUEL` lines, which
-// scripts/run_perf.sh gates. scripts/run_perf.sh drives this binary before and after
+// sender-log churn, engine event scheduling, the Vcausal and LogOn
+// piggyback exchanges — plus one end-to-end cluster run, and emits a
+// machine-readable JSON report (wall clock, throughput, peak RSS). Four
+// duels run a fast path and its reference over identical inputs in one
+// process (run_duel); their ratios are printed at the end as `DUEL` lines,
+// which scripts/run_perf.sh gates. scripts/run_perf.sh drives this binary before and after
 // hot-path changes; BENCH_hotpath.json in the repo root records the
 // measured history.
 //
@@ -327,13 +327,15 @@ std::uint64_t bench_queue_binary_heap(std::uint64_t events) {
       });
 }
 
-// Piggyback exchange duel: Vcausal's streamed build/absorb versus the
-// reference vector round trip, over the exact same message stream — 96
-// ranks, random point-to-point traffic, stability trailing every creator by
-// 48 events (the scale wall's hot layer). Items are piggybacked events.
+// Piggyback exchange duels: a strategy's build/absorb versus its reference
+// (causal/reference_strategy.hpp) over the exact same message stream —
+// random point-to-point traffic over `n` ranks, stability trailing every
+// creator by 48 events. `vcausal_exchange` runs Vcausal's streamed factored
+// path at 96 ranks (the scale wall's hot layer); `logon_exchange` runs
+// LogOn's in-place causal order and plain records at 16 ranks (lu16_logon's
+// hot layer). Items are piggybacked events.
 template <class S>
-std::uint64_t bench_vcausal_exchange(std::uint64_t messages) {
-  const int n = 96;
+std::uint64_t bench_exchange(std::uint64_t messages, int n) {
   const std::uint64_t lag = 48;
   const mpiv::net::CostModel cost{};
   struct Rank {
@@ -439,11 +441,19 @@ int main(int argc, char** argv) {
   run_duel(
       "vcausal_exchange", "vcausal_exchange",
       [&] {
-        return bench_vcausal_exchange<mpiv::causal::VcausalStrategy>(4000 * scale);
+        return bench_exchange<mpiv::causal::VcausalStrategy>(4000 * scale, 96);
       },
       "vcausal_exchange_reference", [&] {
-        return bench_vcausal_exchange<
-            mpiv::causal::Reference<mpiv::causal::VcausalStrategy>>(4000 * scale);
+        return bench_exchange<
+            mpiv::causal::Reference<mpiv::causal::VcausalStrategy>>(4000 * scale, 96);
+      });
+  run_duel(
+      "logon_exchange", "logon_exchange",
+      [&] {
+        return bench_exchange<mpiv::causal::LogOnStrategy>(8000 * scale, 16);
+      },
+      "logon_exchange_reference", [&] {
+        return bench_exchange<mpiv::causal::ReferenceLogOn>(8000 * scale, 16);
       });
   run_bench("cluster_e2e",
             [&] { return bench_cluster(static_cast<int>(30 * scale)); });

@@ -9,6 +9,7 @@
 // wait-until-stable gate.
 #pragma once
 
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -75,8 +76,7 @@ class ElClient {
                   m.src_rank, m.arg, dir_epoch());
       return;
     }
-    std::vector<std::uint64_t> vec(stable_.size());
-    for (std::uint64_t& v : vec) v = m.body.get_u64();
+    const std::vector<std::uint64_t>& vec = read_stable(m.body);
     // Ack latency: time from determinant creation to coverage by an ack.
     const std::uint64_t own = vec[static_cast<std::size_t>(svc_.rank)];
     for (auto it = pending_.begin(); it != pending_.end() && it->first <= own;) {
@@ -151,9 +151,7 @@ class ElClient {
   }
   void on_recovery_resp(net::Message&& m) {
     // Resync the stable vector from the EL's authoritative copy.
-    std::vector<std::uint64_t> vec(stable_.size());
-    for (std::uint64_t& v : vec) v = m.body.get_u64();
-    apply_stable(vec);
+    apply_stable(read_stable(m.body));
     const std::uint32_t n = m.body.get_u32();
     fetched_.clear();
     fetched_.reserve(n);
@@ -175,9 +173,18 @@ class ElClient {
   }
 
  private:
+  /// Reads a stable vector (one u64 per rank) into a reused scratch vector.
+  const std::vector<std::uint64_t>& read_stable(util::Buffer& b) {
+    const std::size_t bytes = stable_.size() * sizeof(std::uint64_t);
+    incoming_.resize(stable_.size());
+    std::memcpy(incoming_.data(), b.read_span(bytes), bytes);
+    return incoming_;
+  }
+
   ftapi::RankServices svc_{};
   StableFn on_stable_;
   std::vector<std::uint64_t> stable_;
+  std::vector<std::uint64_t> incoming_;  // read_stable's scratch
   std::map<std::uint64_t, sim::Time> pending_;
   std::unique_ptr<sim::WaitQueue> own_waiters_;
   std::unique_ptr<sim::OneShot> fetch_done_;

@@ -1,6 +1,7 @@
 #include "causal/logon_strategy.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 
 #include "causal/wire.hpp"
@@ -53,43 +54,12 @@ std::vector<ftapi::Determinant> LogOnStrategy::causal_order(
 Strategy::Work LogOnStrategy::build(int dst, util::Buffer& out,
                                     DepShadow& deps) {
   Work w;
-  PeerView& view = views_[static_cast<std::size_t>(dst)];
-
-  std::vector<std::uint64_t>& reach = reach_cache_[static_cast<std::size_t>(dst)];
-  graph_->known_from_cached(static_cast<std::uint32_t>(dst),
-                            store_->known(static_cast<std::uint32_t>(dst)),
-                            reach);
-  for (int c = 0; c < nranks_; ++c) {
-    const auto creator = static_cast<std::uint32_t>(c);
-    if (reach[creator] > store_->stable(creator)) {
-      w.visits += reach[creator] - store_->stable(creator);
-    }
-  }
-
-  std::vector<ftapi::Determinant> events;
-  for (int c = 0; c < nranks_; ++c) {
-    if (c == dst) continue;
-    const auto creator = static_cast<std::uint32_t>(c);
-    const std::uint64_t graph_known = std::min(reach[creator], view.cap[creator]);
-    const std::uint64_t lo = std::max({store_->stable(creator),
-                                       view.floor_known(creator), graph_known});
-    const std::uint64_t hi = store_->known(creator);
-    if (hi <= lo) continue;
-    std::uint64_t top = 0;
-    store_->for_range(creator, lo, hi, [&](const ftapi::Determinant& d) {
-      events.push_back(d);
-      top = d.seq;
-    });
-    if (top > view.sent[creator]) view.sent[creator] = top;
-    view.raise_cap(creator, top);
-  }
-  events = causal_order(std::move(events));
-  for (const ftapi::Determinant& d : events) deps.push_back(d.dep_word());
-  wire::plain_serialize(events, out);
-  w.events = events.size();
-  w.bytes = out.size();
+  w.visits = select(dst);
+  const std::size_t start = out.size();
+  w.events = put_plain(dst, out, deps);
+  w.bytes = out.size() - start;
   w.cpu = w.visits * cost_->graph_visit +
-          static_cast<sim::Time>(events.size()) *
+          static_cast<sim::Time>(w.events) *
               (cost_->ev_serialize + cost_->logon_reorder);
   return w;
 }
@@ -97,21 +67,134 @@ Strategy::Work LogOnStrategy::build(int dst, util::Buffer& out,
 Strategy::Work LogOnStrategy::absorb(int src, util::Buffer& in,
                                      const DepShadow& deps) {
   Work w;
-  std::vector<ftapi::Determinant> events = wire::plain_parse(in);
-  MPIV_CHECK(deps.size() == events.size(), "dep shadow size %zu vs %zu",
-             deps.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    ftapi::Determinant& d = events[i];
-    d.set_dep_word(deps[i]);
+  w.events = take_plain(src, in, deps);
+  // Single-pass merge: the partial order guarantees antecedents precede
+  // their descendants, so no re-traversal is needed.
+  w.cpu = static_cast<sim::Time>(w.events) *
+          (cost_->ev_deserialize + cost_->logon_fastmerge);
+  return w;
+}
+
+std::uint64_t LogOnStrategy::put_plain(int dst, util::Buffer& out,
+                                       DepShadow& deps) {
+  entries_.clear();
+  for_held_runs(dst, /*raise_cap=*/true,
+                [this](std::uint32_t creator, const EventStore::Run& r) {
+                  for (std::size_t k = 0; k < r.count; ++k) {
+                    entries_.push_back({r.records + k * wire::kFactoredPerEvent,
+                                        r.first + k, r.deps[k], creator});
+                  }
+                });
+  const std::size_t n = entries_.size();
+  MPIV_CHECK(n <= UINT16_MAX, "piggyback too large: %zu events", n);
+  order();
+
+  std::uint8_t* p = out.extend(static_cast<std::size_t>(
+      wire::kPlainHeader + n * wire::kPlainPerEvent));
+  const auto count = static_cast<std::uint16_t>(n);
+  std::memcpy(p, &count, 2);
+  p += wire::kPlainHeader;
+  deps.reserve(deps.size() + n);
+  for (const std::uint32_t i : order_) {
+    const Entry& e = entries_[i];
+    wire::put_plain_record(p, e.creator, e.seq, e.record);
+    p += wire::kPlainPerEvent;
+    deps.push_back(e.dep);
+  }
+  return n;
+}
+
+std::uint64_t LogOnStrategy::take_plain(int src, util::Buffer& in,
+                                        const DepShadow& deps) {
+  const std::uint16_t n = in.get_u16();
+  const std::uint8_t* p =
+      in.read_span(static_cast<std::size_t>(n * wire::kPlainPerEvent));
+  MPIV_CHECK(deps.size() == n, "dep shadow size %zu vs %u", deps.size(),
+             static_cast<unsigned>(n));
+  for (std::size_t k = 0; k < n; ++k, p += wire::kPlainPerEvent) {
+    ftapi::Determinant d = wire::decode_plain_record(p);
+    d.set_dep_word(deps[k]);
     if (store_->add(d)) graph_->add(d);
     note_learned(src, d.creator, d.seq);
   }
-  w.events = events.size();
-  // Single-pass merge: the partial order guarantees antecedents precede
-  // their descendants, so no re-traversal is needed.
-  w.cpu = static_cast<sim::Time>(events.size()) *
-          (cost_->ev_deserialize + cost_->logon_fastmerge);
-  return w;
+  return n;
+}
+
+std::uint32_t LogOnStrategy::find(std::uint32_t creator,
+                                  std::uint64_t seq) const {
+  if (creator >= static_cast<std::uint32_t>(nranks_)) return kNone;
+  const std::uint32_t b = seg_[creator];
+  const std::uint32_t e = seg_[creator + 1];
+  if (b == e || seq < entries_[b].seq) return kNone;
+  // Without holes below it, seq sits at its offset from the first held.
+  const std::uint64_t off = seq - entries_[b].seq;
+  if (off < e - b && entries_[b + off].seq == seq) {
+    return b + static_cast<std::uint32_t>(off);
+  }
+  const auto first = entries_.begin() + b;
+  const auto last = entries_.begin() + e;
+  const auto it = std::lower_bound(
+      first, last, seq, [](const Entry& x, std::uint64_t s) { return x.seq < s; });
+  return it != last && it->seq == seq
+             ? static_cast<std::uint32_t>(it - entries_.begin())
+             : kNone;
+}
+
+void LogOnStrategy::order() {
+  // causal_order's Kahn pass over indices. Its edges, in the order it adds
+  // them: for each entry i ascending, the process-order edge
+  // (creator, seq-1) -> i, then the cross edge (src, dep) -> i. Both can
+  // come from one node (a self-sent event's dep is its predecessor); like
+  // causal_order it keeps the two edges and indegree 2.
+  const auto n = static_cast<std::uint32_t>(entries_.size());
+  seg_.assign(static_cast<std::size_t>(nranks_) + 1, 0);
+  for (const Entry& e : entries_) ++seg_[e.creator + 1];
+  for (int c = 0; c < nranks_; ++c) seg_[c + 1] += seg_[c];
+
+  preds_.resize(2 * static_cast<std::size_t>(n));
+  indegree_.assign(n, 0);
+  edge_at_.assign(static_cast<std::size_t>(n) + 2, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const Entry& e = entries_[i];
+    // Creator c's events are consecutive and ascending, so (c, seq-1) is
+    // either entry i-1 or absent.
+    const bool proc =
+        i > seg_[e.creator] && entries_[i - 1].seq == e.seq - 1;
+    preds_[2 * i] = proc ? i - 1 : kNone;
+    preds_[2 * i + 1] = e.dep != ftapi::Determinant::kNoDep && e.dep > 0
+                            ? find(wire::record_src(e.record), e.dep)
+                            : kNone;
+    for (int k = 0; k < 2; ++k) {
+      const std::uint32_t from = preds_[2 * i + k];
+      if (from == kNone) continue;
+      ++edge_at_[from + 2];
+      ++indegree_[i];
+    }
+  }
+  // edge_at_[j + 1] is node j's fill cursor; after the fill, node j's
+  // targets are [edge_at_[j], edge_at_[j + 1]), ascending.
+  for (std::size_t j = 2; j < edge_at_.size(); ++j) edge_at_[j] += edge_at_[j - 1];
+  edges_.resize(edge_at_.back());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (int k = 0; k < 2; ++k) {
+      const std::uint32_t from = preds_[2 * i + k];
+      if (from != kNone) edges_[edge_at_[from + 1]++] = i;
+    }
+  }
+
+  order_.clear();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (indegree_[i] == 0) order_.push_back(i);
+  }
+  // FIFO processing keeps the order deterministic.
+  for (std::size_t head = 0; head < order_.size(); ++head) {
+    const std::uint32_t i = order_[head];
+    for (std::uint32_t k = edge_at_[i]; k < edge_at_[i + 1]; ++k) {
+      if (--indegree_[edges_[k]] == 0) order_.push_back(edges_[k]);
+    }
+  }
+  MPIV_CHECK(order_.size() == n, "cycle in causal order: %zu of %u emitted",
+             order_.size(), n);
 }
 
 }  // namespace mpiv::causal

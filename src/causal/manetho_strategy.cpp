@@ -4,9 +4,7 @@
 
 namespace mpiv::causal {
 
-Strategy::Work ManethoStrategy::build(int dst, util::Buffer& out,
-                                      DepShadow& deps) {
-  Work w;
+std::uint64_t ManethoStrategy::select(int dst) {
   const PeerView& view = views_[static_cast<std::size_t>(dst)];
 
   // What does dst know? Traverse the graph backward from dst's newest event
@@ -18,19 +16,23 @@ Strategy::Work ManethoStrategy::build(int dst, util::Buffer& out,
   graph_->known_from_cached(static_cast<std::uint32_t>(dst),
                             store_->known(static_cast<std::uint32_t>(dst)),
                             reach);
+  std::uint64_t visits = 0;
   for (int c = 0; c < nranks_; ++c) {
     const auto creator = static_cast<std::uint32_t>(c);
     if (reach[creator] > store_->stable(creator)) {
-      w.visits += reach[creator] - store_->stable(creator);
+      visits += reach[creator] - store_->stable(creator);
     }
-  }
-
-  for (int c = 0; c < nranks_; ++c) {
-    const auto creator = static_cast<std::uint32_t>(c);
     // Transitive (graph) evidence is capped after dst restarts (DESIGN §4).
     holds_[creator] = std::max(view.floor_known(creator),
                                std::min(reach[creator], view.cap[creator]));
   }
+  return visits;
+}
+
+Strategy::Work ManethoStrategy::build(int dst, util::Buffer& out,
+                                      DepShadow& deps) {
+  Work w;
+  w.visits = select(dst);
   const std::size_t start = out.size();
   w.events = put_factored(dst, /*raise_cap=*/true, out, deps);
   w.bytes = out.size() - start;

@@ -50,6 +50,10 @@ class ManethoStrategy : public Strategy {
  protected:
   void on_absorbed(const ftapi::Determinant& d) override { graph_->add(d); }
 
+  /// Walks the graph for what `dst` provably knows and sets holds_ to it
+  /// (the prefix per creator not to piggyback). Returns the priced visits.
+  std::uint64_t select(int dst);
+
   /// The graph's vertices are exactly the held (unstable) determinants, so
   /// after a restore it is rebuilt from the EventStore.
   void rebuild_graph() {

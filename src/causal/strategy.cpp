@@ -8,7 +8,6 @@ namespace mpiv::causal {
 
 std::uint64_t Strategy::put_factored(int dst, bool raise_cap, util::Buffer& out,
                                      DepShadow& deps) {
-  PeerView& view = views_[static_cast<std::size_t>(dst)];
   // Size the buffer once. Below held_through a range is one run; above it
   // every event may open a block, and runs are cut every UINT16_MAX events.
   std::uint64_t max_events = 0;
@@ -25,21 +24,11 @@ std::uint64_t Strategy::put_factored(int dst, bool raise_cap, util::Buffer& out,
   }
   deps.reserve(deps.size() + max_events);
   wire::FactoredWriter writer(out, max_events, max_blocks);
-  for (int c = 0; c < nranks_; ++c) {
-    if (c == dst) continue;
-    const auto creator = static_cast<std::uint32_t>(c);
-    const std::uint64_t lo = std::max(store_->stable(creator), holds_[creator]);
-    const std::uint64_t hi = store_->known(creator);
-    if (hi <= lo) continue;
-    std::uint64_t top = 0;
-    store_->for_runs(creator, lo, hi, [&](const EventStore::Run& r) {
-      writer.put_run(creator, r.first, r.count, r.records);
-      deps.insert(deps.end(), r.deps, r.deps + r.count);
-      top = r.first + r.count - 1;
-    });
-    if (top > view.sent[creator]) view.sent[creator] = top;
-    if (raise_cap) view.raise_cap(creator, top);
-  }
+  for_held_runs(dst, raise_cap,
+                [&](std::uint32_t creator, const EventStore::Run& r) {
+                  writer.put_run(creator, r.first, r.count, r.records);
+                  deps.insert(deps.end(), r.deps, r.deps + r.count);
+                });
   writer.finish();
   return writer.events();
 }

@@ -145,6 +145,28 @@ class Strategy {
   /// take_factored added `d` to the store (called when `absorb_hook_`).
   virtual void on_absorbed(const ftapi::Determinant& d) { (void)d; }
 
+  /// Calls fn(creator, run) for every held run put_factored would send
+  /// `dst` (creators ascending, each run ascending), then records in dst's
+  /// view what was sent, as put_factored does.
+  template <class Fn>
+  void for_held_runs(int dst, bool raise_cap, Fn&& fn) {
+    PeerView& view = views_[static_cast<std::size_t>(dst)];
+    for (int c = 0; c < nranks_; ++c) {
+      if (c == dst) continue;  // never send a peer its own events back
+      const auto creator = static_cast<std::uint32_t>(c);
+      const std::uint64_t lo = std::max(store_->stable(creator), holds_[creator]);
+      const std::uint64_t hi = store_->known(creator);
+      if (hi <= lo) continue;
+      std::uint64_t top = 0;
+      store_->for_runs(creator, lo, hi, [&](const EventStore::Run& r) {
+        fn(creator, r);
+        top = r.first + r.count - 1;
+      });
+      if (top > view.sent[creator]) view.sent[creator] = top;
+      if (raise_cap) view.raise_cap(creator, top);
+    }
+  }
+
   EventStore* store_ = nullptr;
   const net::CostModel* cost_ = nullptr;
   int rank_ = -1;

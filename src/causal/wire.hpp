@@ -22,6 +22,12 @@
 // The factored per-event record is also the EventStore's storage layout, so
 // a run moves between store and buffer with one memcpy. encode_record /
 // decode_record are the only code that knows the record's fields.
+//
+// The plain (LogOn) record is {creator u16, seq u64} followed by the same
+// factored record, so LogOn's build writes each event as a key plus one
+// memcpy from the store (put_plain_record) and its absorb decodes records
+// in place (decode_plain_record). plain_serialize / plain_parse round-trip
+// a vector and are the reference both are tested against.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +46,8 @@ constexpr std::uint64_t kFactoredPerEvent = 2 + 8 + 4;    // src,ssn,tag
 // Per-event (LogOn) format sizes.
 constexpr std::uint64_t kPlainHeader = 2;                  // u16 event count
 constexpr std::uint64_t kPlainPerEvent = 2 + 8 + 2 + 8 + 4;// creator,seq,src,ssn,tag
+static_assert(kPlainPerEvent == 10 + kFactoredPerEvent,
+              "a plain record is {creator, seq} + a factored record");
 
 /// Writes `d`'s factored record {src u16, ssn u64, tag u32} at `p`.
 inline void encode_record(std::uint8_t* p, const ftapi::Determinant& d) {
@@ -68,6 +76,31 @@ inline ftapi::Determinant decode_record(const std::uint8_t* p,
   d.seq = seq;
   decode_record(p, d);
   return d;
+}
+
+/// The `src` field of the factored record at `p`.
+inline std::uint32_t record_src(const std::uint8_t* p) {
+  std::uint16_t src;
+  std::memcpy(&src, p, 2);
+  return src;
+}
+
+/// Writes the plain record of `creator`'s event `seq` at `p`, copying its
+/// factored record from `record`.
+inline void put_plain_record(std::uint8_t* p, std::uint32_t creator,
+                             std::uint64_t seq, const std::uint8_t* record) {
+  const auto c16 = static_cast<std::uint16_t>(creator);
+  std::memcpy(p, &c16, 2);
+  std::memcpy(p + 2, &seq, 8);
+  std::memcpy(p + 10, record, kFactoredPerEvent);
+}
+/// The determinant whose plain record is at `p` (no edge).
+inline ftapi::Determinant decode_plain_record(const std::uint8_t* p) {
+  std::uint16_t creator;
+  std::uint64_t seq;
+  std::memcpy(&creator, p, 2);
+  std::memcpy(&seq, p + 2, 8);
+  return decode_record(p + 10, creator, seq);
 }
 
 /// Serializes events factored by creator. `events` must be grouped by

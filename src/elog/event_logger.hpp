@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -302,7 +303,7 @@ class EventLogger {
           // The current stable vector first: a restarting node must resync
           // its stability knowledge (a restored image may lag the EL, and
           // e.g. the pessimistic send gate depends on it).
-          for (const Per& q : per_) resp.body.put_u64(q.contiguous);
+          put_stable(resp.body);
           const Per& p = per_[rank];
           resp.body.put_u32(static_cast<std::uint32_t>(p.dets.size()));
           p.dets.for_each([&resp](std::uint64_t, const ftapi::Determinant& d) {
@@ -365,6 +366,15 @@ class EventLogger {
                 d.ssn);
   }
 
+  /// Appends the stable vector (each rank's contiguous watermark, u64).
+  void put_stable(util::Buffer& b) const {
+    std::uint8_t* p = b.extend(per_.size() * sizeof(std::uint64_t));
+    for (const Per& q : per_) {
+      std::memcpy(p, &q.contiguous, sizeof(std::uint64_t));
+      p += sizeof(std::uint64_t);
+    }
+  }
+
   void ack(net::NodeId to) {
     if (pending_ > 0) --pending_;
     net::Message a;
@@ -374,7 +384,7 @@ class EventLogger {
     // home moved while this ack crossed a cut recognize and fence it.
     a.arg = dir_epoch_;
     a.src_rank = shard_;
-    for (const Per& p : per_) a.body.put_u64(p.contiguous);
+    put_stable(a.body);
     ++stats_->acks_sent;
     trace::emit(trace_, net_.engine().now(), trace::Kind::kElAck, 1,
                 static_cast<std::int32_t>(to), stats_->acks_sent, pending_);
@@ -399,7 +409,7 @@ class EventLogger {
       m.tag = static_cast<std::int32_t>(mpi::CtlSub::kElShardClock);
       m.dst = layout_.el_node(other);
       // Send our whole view; receivers only merge the slots we own.
-      for (const Per& p : per_) m.body.put_u64(p.contiguous);
+      put_stable(m.body);
       port_.send_after(net_.cost().el_ack_build, std::move(m));
     }
     arm_exchange();

@@ -3,10 +3,12 @@
 // Fig. 3 scenario), the sender log, and the strategy invariants —
 // no-event-sent-twice, graph-pruning soundness (Manetho/LogOn piggyback a
 // subset of Vcausal's), and LogOn's partial-order emission. The streamed
-// factored path is checked against its reference (causal/reference_strategy
-// .hpp) message by message, the columnar EventStore against
-// ReferenceEventStore operation by operation, and the byte parsers (block
-// reader, Determinant::deserialize, EventStore::restore) are fuzzed.
+// factored path and LogOn's in-place plain path are checked against their
+// references (causal/reference_strategy.hpp) message by message, LogOn's
+// order also against the map-based causal_order case by case, the columnar
+// EventStore against ReferenceEventStore operation by operation, and the
+// byte parsers (block reader, LogOn's plain reader, Determinant::deserialize,
+// EventStore::restore) are fuzzed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -690,6 +692,20 @@ TEST_P(StrategyProperty, NeverSendsReceiverItsOwnEvents) {
   }
 }
 
+TEST_P(StrategyProperty, WorkBytesCountOnlyTheAppendedPiggyback) {
+  StratFixture fx(GetParam());
+  for (int i = 0; i < 10; ++i) fx.local_event(0, static_cast<std::uint64_t>(i + 1));
+  util::Buffer out;
+  out.put_u64(0xfeedbeefcafef00dull);
+  out.put_u32(7);
+  const std::vector<std::uint8_t> prefix = out.bytes();
+  Strategy::DepShadow deps;
+  const Strategy::Work w = fx.strat->build(1, out, deps);
+  EXPECT_EQ(w.events, 10u);
+  EXPECT_EQ(w.bytes, out.size() - prefix.size());
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), out.bytes().begin()));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyProperty,
                          ::testing::Values(StrategyKind::kVcausal,
                                            StrategyKind::kManetho,
@@ -726,9 +742,27 @@ TEST(StrategyComparison, GraphStrategiesPiggybackSubsetOfVcausal) {
   EXPECT_EQ(mset, lset);  // same pruning, different wire format
 }
 
+// For the sequence m_1..m_k: for i < j, m_j must not be in the causal past
+// of m_i (paper §III-C) — every event's antecedents inside the sequence,
+// (creator, seq-1) and its cross edge, come before it.
+void expect_causally_ordered(const std::vector<ftapi::Determinant>& events) {
+  std::set<std::pair<std::uint32_t, std::uint64_t>> all, seen;
+  for (const ftapi::Determinant& d : events) all.emplace(d.creator, d.seq);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const ftapi::Determinant& d = events[i];
+    const std::pair<std::uint32_t, std::uint64_t> prev{d.creator, d.seq - 1};
+    if (d.seq > 1 && all.count(prev)) {
+      EXPECT_TRUE(seen.count(prev)) << "process-order violated at index " << i;
+    }
+    const std::pair<std::uint32_t, std::uint64_t> edge{d.dep_creator, d.dep_seq};
+    if (d.dep_creator != UINT32_MAX && d.dep_seq > 0 && all.count(edge)) {
+      EXPECT_TRUE(seen.count(edge)) << "cross edge violated at index " << i;
+    }
+    seen.emplace(d.creator, d.seq);
+  }
+}
+
 TEST(LogOnOrder, EmissionRespectsPartialOrder) {
-  // For the emitted sequence m_1..m_k: for i < j, m_j must not be in the
-  // causal past of m_i (paper §III-C) — i.e. ancestors come first.
   StratFixture fx(StrategyKind::kLogOn);
   util::Rng rng(13);
   for (int i = 0; i < 40; ++i) {
@@ -736,38 +770,10 @@ TEST(LogOnOrder, EmissionRespectsPartialOrder) {
                    static_cast<std::uint64_t>(i + 1));
   }
   Strategy::DepShadow deps;
-  const std::vector<ftapi::Determinant> emitted = fx.build(1, nullptr, &deps);
+  std::vector<ftapi::Determinant> emitted = fx.build(1, nullptr, &deps);
   ASSERT_EQ(deps.size(), emitted.size());
-  std::set<std::pair<std::uint32_t, std::uint64_t>> seen;
-  for (std::size_t i = 0; i < emitted.size(); ++i) {
-    const ftapi::Determinant& d = emitted[i];
-    // Process-order antecedent must already have been emitted (if in set).
-    if (d.seq > 1) {
-      bool in_set = false;
-      for (const auto& e : emitted) {
-        if (e.creator == d.creator && e.seq == d.seq - 1) in_set = true;
-      }
-      if (in_set) {
-        EXPECT_TRUE(seen.count({d.creator, d.seq - 1}))
-            << "process-order violated at index " << i;
-      }
-    }
-    // Cross-edge antecedent likewise.
-    ftapi::Determinant edge = d;
-    edge.set_dep_word(deps[i]);
-    const std::uint32_t dc = edge.dep_creator;
-    const std::uint64_t ds = edge.dep_seq;
-    if (dc != UINT32_MAX && ds > 0) {
-      bool in_set = false;
-      for (const auto& e : emitted) {
-        if (e.creator == dc && e.seq == ds) in_set = true;
-      }
-      if (in_set) {
-        EXPECT_TRUE(seen.count({dc, ds})) << "cross edge violated at index " << i;
-      }
-    }
-    seen.emplace(d.creator, d.seq);
-  }
+  for (std::size_t i = 0; i < emitted.size(); ++i) emitted[i].set_dep_word(deps[i]);
+  expect_causally_ordered(emitted);
 }
 
 TEST(LogOnOrder, CausalOrderIsStableUnderPermutation) {
@@ -783,9 +789,15 @@ TEST(LogOnOrder, CausalOrderIsStableUnderPermutation) {
   }
   const auto ordered = LogOnStrategy::causal_order(events);
   EXPECT_EQ(ordered.size(), events.size());
+  expect_causally_ordered(ordered);
   std::reverse(events.begin(), events.end());
   const auto ordered2 = LogOnStrategy::causal_order(events);
   EXPECT_EQ(ordered2.size(), ordered.size());
+  // The reversed input puts descendants first; the order must still be a
+  // topological one over the same events.
+  expect_causally_ordered(ordered2);
+  EXPECT_TRUE(std::is_permutation(ordered2.begin(), ordered2.end(), events.begin(),
+                                  events.end()));
 }
 
 TEST(PeerViewTest, RestartClampsAndCaps) {
@@ -993,6 +1005,126 @@ TEST(StreamedPiggyback, ManethoMatchesReference) {
   }
 }
 
+TEST(StreamedPiggyback, LogOnMatchesReference) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    run_differential<LogOnStrategy>(seed);
+  }
+}
+
+// LogOn's in-place order (a CSR Kahn pass over the store's runs) against
+// the reference (for_range, map-based causal_order, plain_serialize) on
+// seeded stores: a global reception history keeps cross edges acyclic;
+// stores skip events (holes, absent antecedents), the stable point moves
+// mid-history so runs wrap the ring, and self-sent events give an event
+// two edges from its predecessor. One LogOnStrategy is re-attached for
+// every case, so its scratch is reused across sizes.
+TEST(LogOnOrder, InPlaceOrderMatchesCausalOrder) {
+  util::Rng rng(31);
+  const net::CostModel cost{};
+  LogOnStrategy fast;
+  std::uint64_t wraps = 0, hole_edges = 0, absent = 0, self_edges = 0, no_edge = 0;
+  for (int cs = 0; cs < 400; ++cs) {
+    SCOPED_TRACE(cs);
+    const int nranks = 2 + static_cast<int>(rng.next_below(7));
+    const int dst = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(nranks)));
+    EventStore fs(nranks), rs(nranks);
+    ReferenceLogOn ref;
+    fast.attach(&fs, &cost, dst == 0 ? 1 : 0, nranks);
+    ref.attach(&rs, &cost, dst == 0 ? 1 : 0, nranks);
+    std::vector<std::uint64_t> count(static_cast<std::size_t>(nranks), 0);
+    std::vector<ftapi::Determinant> history;
+    const std::uint64_t total = 1 + rng.next_below(160);
+    const std::uint64_t split = rng.next_below(total);
+    for (std::uint64_t t = 0; t < total; ++t) {
+      const auto c = static_cast<std::uint32_t>(rng.next_below(nranks));
+      const auto src = rng.next_below(4) == 0
+                           ? c
+                           : static_cast<std::uint32_t>(rng.next_below(nranks));
+      ftapi::Determinant d = det(c, ++count[c], src, rng.next_u64(),
+                                 static_cast<int>(rng.next_u64()));
+      // What src had done before this message (src == c: c's own past).
+      const std::uint64_t past = src == c ? count[c] - 1 : count[src];
+      switch (rng.next_below(6)) {
+        case 0: break;  // no edge
+        case 1: d.set_dep_word(0); break;
+        case 2: d.set_dep_word(past == 0 ? 0 : 1 + rng.next_below(past)); break;
+        default: d.set_dep_word(past); break;
+      }
+      history.push_back(d);
+    }
+    for (std::uint64_t t = 0; t < total; ++t) {
+      if (t == split) {
+        std::vector<std::uint64_t> stable = fs.known_vector();
+        for (std::uint64_t& v : stable) v = v == 0 ? 0 : rng.next_below(v + 1);
+        fs.set_stable(stable);
+        rs.set_stable(stable);
+      }
+      if (rng.next_below(6) == 0) continue;  // a hole
+      fs.add(history[t]);
+      rs.add(history[t]);
+    }
+    // Coverage: what the history exercised among the events sent.
+    const auto hole_below = [&fs](std::uint32_t c, std::uint64_t seq) {
+      std::uint64_t first = fs.stable(c) + 1;
+      while (!fs.holds(c, first)) ++first;
+      for (std::uint64_t q = first; q < seq; ++q) {
+        if (!fs.holds(c, q)) return true;
+      }
+      return false;
+    };
+    for (int c = 0; c < nranks; ++c) {
+      const auto creator = static_cast<std::uint32_t>(c);
+      std::uint64_t end = 0;
+      fs.for_runs(creator, 0, fs.known(creator), [&](const EventStore::Run& r) {
+        if (c != dst && r.first == end) ++wraps;  // split at the ring's end
+        end = r.first + r.count;
+      });
+    }
+    for (const ftapi::Determinant& d : history) {
+      if (static_cast<int>(d.creator) == dst || !fs.holds(d.creator, d.seq)) continue;
+      if (d.dep_creator == UINT32_MAX || d.dep_seq == 0) {
+        ++no_edge;
+      } else if (!fs.holds(d.dep_creator, d.dep_seq) ||
+                 static_cast<int>(d.dep_creator) == dst) {
+        ++absent;
+      } else if (d.dep_creator == d.creator && d.dep_seq == d.seq - 1) {
+        ++self_edges;
+      } else if (hole_below(d.dep_creator, d.dep_seq)) {
+        ++hole_edges;  // found by binary search, not by its offset
+      }
+    }
+
+    util::Buffer fb, rb;
+    Strategy::DepShadow fd, rd;
+    const Strategy::Work fw = fast.build(dst, fb, fd);
+    const Strategy::Work rw = ref.build(dst, rb, rd);
+    ASSERT_EQ(fb, rb);
+    ASSERT_EQ(fd, rd);
+    EXPECT_EQ(fw.events, rw.events);
+    EXPECT_EQ(fw.bytes, rw.bytes);
+    EXPECT_EQ(fw.cpu, rw.cpu);
+    EXPECT_EQ(serialized(fast), serialized(ref));
+    // The bytes are causal_order's sequence of every held event not dst's.
+    std::vector<ftapi::Determinant> held;
+    for (int c = 0; c < nranks; ++c) {
+      if (c == dst) continue;
+      fs.collect(static_cast<std::uint32_t>(c), held);
+    }
+    const std::vector<ftapi::Determinant> expect = LogOnStrategy::causal_order(held);
+    const std::vector<ftapi::Determinant> got = wire::plain_parse(fb);
+    ASSERT_EQ(got, expect);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(fd[i], expect[i].dep_word()) << "index " << i;
+    }
+  }
+  EXPECT_GT(wraps, 0u);
+  EXPECT_GT(hole_edges, 0u);
+  EXPECT_GT(absent, 0u);
+  EXPECT_GT(self_edges, 0u);
+  EXPECT_GT(no_edge, 0u);
+}
+
 // --- factored parser fuzz ----------------------------------------------------------
 
 // A valid factored piggyback and its layout.
@@ -1092,6 +1224,110 @@ TEST(WireFuzzDeathTest, HeaderAndTruncationMutantsUnderrun) {
       EXPECT_DEATH(read_skipping(m, 0), "read underrun");
       EXPECT_DEATH(read_skipping(m, 3), "read underrun");
     }
+  }
+}
+
+// --- plain (LogOn) reader fuzz ------------------------------------------------------
+
+// A valid plain piggyback over kRanks creators and its dep shadow.
+struct PlainSample {
+  static constexpr int kRanks = 16;
+  util::Buffer bytes;
+  Strategy::DepShadow deps;
+};
+
+PlainSample plain_sample(util::Rng& rng) {
+  std::vector<ftapi::Determinant> events;
+  for (std::uint64_t i = 0, n = 1 + rng.next_below(60); i < n; ++i) {
+    ftapi::Determinant d = random_det(
+        rng, static_cast<std::uint32_t>(rng.next_below(PlainSample::kRanks)),
+        1 + rng.next_below(200), PlainSample::kRanks);
+    if (rng.next_below(8) == 0) d.set_dep_word(0);
+    events.push_back(d);
+  }
+  PlainSample s;
+  wire::plain_serialize(events, s.bytes);
+  for (const ftapi::Determinant& d : events) s.deps.push_back(d.dep_word());
+  return s;
+}
+
+TEST(PlainFuzz, PayloadMutantsDecodeTheSameThroughBothReaders) {
+  // Flips in any byte of the factored record (src, ssn, tag), in a seq's
+  // low byte (duplicates, events at or below stable, holes) and in a
+  // creator's low four bits (another valid rank): LogOnStrategy::absorb and
+  // the plain_parse reference leave the same knowledge behind.
+  util::Rng rng(79);
+  const net::CostModel cost{};
+  for (int sample = 0; sample < 150; ++sample) {
+    const PlainSample s = plain_sample(rng);
+    const std::size_t n = s.deps.size();
+    for (int m = 0; m < 8; ++m) {
+      std::vector<std::uint8_t> bytes = s.bytes.bytes();
+      for (std::uint64_t f = 0, flips = 1 + rng.next_below(4); f < flips; ++f) {
+        const std::size_t at = wire::kPlainHeader + rng.next_below(n) * wire::kPlainPerEvent;
+        switch (rng.next_below(3)) {
+          case 0:
+            bytes[at] ^= static_cast<std::uint8_t>(1 + rng.next_below(15));
+            break;
+          case 1: bytes[at + 2] ^= static_cast<std::uint8_t>(1 + rng.next_below(255)); break;
+          default:
+            bytes[at + 10 + rng.next_below(wire::kFactoredPerEvent)] ^=
+                static_cast<std::uint8_t>(1 + rng.next_below(255));
+            break;
+        }
+      }
+      EventStore fs(PlainSample::kRanks), rs(PlainSample::kRanks);
+      LogOnStrategy fast;
+      ReferenceLogOn ref;
+      fast.attach(&fs, &cost, 0, PlainSample::kRanks);
+      ref.attach(&rs, &cost, 0, PlainSample::kRanks);
+      util::Buffer fb(bytes), rb(bytes);
+      expect_same_work(fast.absorb(1, fb, s.deps), ref.absorb(1, rb, s.deps));
+      EXPECT_EQ(fb.remaining(), 0u);
+      EXPECT_EQ(rb.remaining(), 0u);
+      EXPECT_EQ(serialized(fs), serialized(rs));
+      EXPECT_EQ(serialized(fast), serialized(ref));
+      EXPECT_EQ(fast.graph_vertices(), ref.graph_vertices());
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(PlainFuzzDeathTest, CountAndTruncationMutantsUnderrun) {
+  util::Rng rng(80);
+  const auto absorb = [](const std::vector<std::uint8_t>& bytes,
+                         const Strategy::DepShadow& deps) {
+    const net::CostModel cost{};
+    EventStore store(PlainSample::kRanks);
+    LogOnStrategy strat;
+    strat.attach(&store, &cost, 0, PlainSample::kRanks);
+    util::Buffer in(bytes);
+    strat.absorb(1, in, deps);
+  };
+  const auto parse = [](const std::vector<std::uint8_t>& bytes) {
+    util::Buffer in(bytes);
+    wire::plain_parse(in);
+  };
+  for (int sample = 0; sample < 6; ++sample) {
+    const PlainSample s = plain_sample(rng);
+    std::vector<std::vector<std::uint8_t>> mutants;
+    // One more event than the bytes hold (samples carry at most 60).
+    std::vector<std::uint8_t> bytes = s.bytes.bytes();
+    ++bytes[0];
+    mutants.push_back(bytes);
+    // Truncated anywhere.
+    bytes = s.bytes.bytes();
+    bytes.resize(rng.next_below(bytes.size()));
+    mutants.push_back(bytes);
+    for (const std::vector<std::uint8_t>& m : mutants) {
+      EXPECT_DEATH(absorb(m, s.deps), "read underrun");
+      EXPECT_DEATH(parse(m), "read underrun");
+    }
+    // A creator past the last rank.
+    bytes = s.bytes.bytes();
+    bytes[wire::kPlainHeader + rng.next_below(s.deps.size()) * wire::kPlainPerEvent + 1] ^=
+        static_cast<std::uint8_t>(1 + rng.next_below(255));
+    EXPECT_DEATH(absorb(bytes, s.deps), "bad creator");
   }
 }
 
