@@ -9,7 +9,9 @@
 // process (run_duel); their ratios are printed at the end as `DUEL` lines,
 // which scripts/run_perf.sh gates. scripts/run_perf.sh drives this binary before and after
 // hot-path changes; BENCH_hotpath.json in the repo root records the
-// measured history.
+// measured history. The items/s column also grounds the per-event and
+// per-vertex constants of net/cost_model.hpp (docs/BENCHMARKS.md,
+// "Host-time microbenchmarks").
 //
 // Usage: bench_micro_hotpath [--quick] [--json PATH]
 #include <sys/resource.h>

@@ -116,7 +116,7 @@ class ElClient {
   }
 
   /// Recovery: fetches every determinant of this rank stored at the EL.
-  /// With svc_.service_retry armed (fault campaigns), an unanswered request
+  /// With svc_.service_retry armed (service faults), an unanswered request
   /// is retransmitted — re-routed through the directory, so a fetch that
   /// raced a shard crash lands on the successor once failover completes.
   sim::Task<ftapi::DeterminantList> fetch_mine() {

@@ -101,8 +101,9 @@ struct Campaign {
   /// reconnect). Per-injection `duration` overrides it when > 0.
   sim::Time daemon_restart_delay = 40 * sim::kMillisecond;
   /// Client-side retransmit interval for unacknowledged checkpoint-server
-  /// and Event Logger requests. Armed only while a campaign is active so
-  /// fault-free runs schedule no extra events.
+  /// and Event Logger requests. Armed only when the campaign can fail a
+  /// service or a link (needs_service_retry), so fault-free and rank-crash-
+  /// only runs schedule no extra events.
   sim::Time service_retry = 500 * sim::kMillisecond;
   /// How long a service cut must persist before the directory declares the
   /// cut-off shard suspect and fails its unreachable clients over to a
@@ -114,13 +115,35 @@ struct Campaign {
   std::uint64_t seed_salt = 0;
 
   bool empty() const { return injections.empty(); }
-  bool targets_el() const {
+  /// True when some injection targets more than a compute rank: only then
+  /// can a service request go unanswered, so only then do clients arm
+  /// their retransmit timers.
+  bool needs_service_retry() const {
     for (const Injection& i : injections) {
-      if (i.target == Target::kElShard) return true;
+      if (i.target != Target::kRank) return true;
     }
     return false;
   }
 };
+
+/// A crash of compute rank `rank` at simulated time `at` (the `fault =`
+/// and `faults.crash_rank = <time>:<rank>` spellings).
+inline Injection rank_crash_at(sim::Time at, int rank) {
+  Injection inj;
+  inj.index = rank;
+  inj.at = at;
+  return inj;
+}
+
+/// A Poisson crash stream over random live ranks (the `faults_per_minute`
+/// and `faults.rank_rate` spellings).
+inline Injection rank_crash_rate(double per_minute) {
+  Injection inj;
+  inj.index = -1;
+  inj.trigger = Trigger::kRate;
+  inj.rate_per_minute = per_minute;
+  return inj;
+}
 
 /// Per-run tally of what the engine actually injected (ClusterReport).
 struct FaultCounts {
@@ -173,10 +196,21 @@ void validate_campaign(const Campaign& campaign, int nranks, int total_shards,
     fail("faults.detection_delay must be positive (-1 inherits the "
          "cluster detection delay)");
   }
-  for (const Injection& inj : campaign.injections) {
+  const std::vector<Injection>& all = campaign.injections;
+  for (std::size_t n = 0; n < all.size(); ++n) {
+    const Injection& inj = all[n];
     switch (inj.trigger) {
       case Trigger::kAt:
         if (inj.at <= 0) fail("campaign injection scheduled at t <= 0");
+        if (inj.target != Target::kRank) break;
+        for (std::size_t m = 0; m < n; ++m) {
+          if (all[m].trigger == Trigger::kAt &&
+              all[m].target == Target::kRank && all[m].index == inj.index &&
+              all[m].at == inj.at) {
+            fail("duplicate fault: rank " + std::to_string(inj.index) +
+                 " at t = " + std::to_string(inj.at) + "ns named twice");
+          }
+        }
         break;
       case Trigger::kRate:
         if (inj.rate_per_minute <= 0) {

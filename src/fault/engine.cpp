@@ -7,9 +7,9 @@ namespace mpiv::fault {
 
 FaultEngine::FaultEngine(Campaign campaign, std::uint64_t seed, Bindings b)
     : campaign_(std::move(campaign)), b_(std::move(b)) {
-  // The legacy Poisson stream keeps the historical derivation so pre-engine
-  // fault-rate experiments reproduce run for run; campaign streams fold in
-  // the salt so fault schedules sweep independently of the workload seed.
+  // The stochastic streams keep the historical derivation so fault-rate
+  // experiments reproduce run for run; the salt lets fault schedules sweep
+  // independently of the workload seed.
   rng_.reseed(seed ^ 0xFA17'2005ULL ^ campaign_.seed_salt);
   fired_.assign(campaign_.injections.size(), 0);
   if (b_.directory != nullptr) {
@@ -18,13 +18,7 @@ FaultEngine::FaultEngine(Campaign campaign, std::uint64_t seed, Bindings b)
   daemon_gen_.assign(static_cast<std::size_t>(b_.layout.nranks), 0);
 }
 
-void FaultEngine::arm(const std::vector<std::pair<sim::Time, int>>& legacy_faults,
-                      double legacy_rate_per_minute) {
-  // Legacy deterministic plan first (same scheduling order the dispatcher
-  // used), then the campaign, then the stochastic streams.
-  for (const auto& [at, rank] : legacy_faults) {
-    b_.eng->at(at, [this, rank = rank] { b_.crash_rank(rank); });
-  }
+void FaultEngine::arm() {
   for (std::size_t i = 0; i < campaign_.injections.size(); ++i) {
     const Injection& inj = campaign_.injections[i];
     switch (inj.trigger) {
@@ -38,10 +32,6 @@ void FaultEngine::arm(const std::vector<std::pair<sim::Time, int>>& legacy_fault
       case Trigger::kOnElStored:
         break;  // observer-driven
     }
-  }
-  if (legacy_rate_per_minute > 0) {
-    legacy_poisson_mean_ns_ = 60.0 * 1e9 / legacy_rate_per_minute;
-    arm_legacy_poisson();
   }
 }
 
@@ -132,20 +122,6 @@ void FaultEngine::arm_poisson(std::size_t idx) {
       execute(i);  // rate streams repeat
     }
     arm_poisson(idx);
-  });
-}
-
-void FaultEngine::arm_legacy_poisson() {
-  const sim::Time dt =
-      static_cast<sim::Time>(rng_.next_exponential(legacy_poisson_mean_ns_));
-  b_.eng->after(dt, [this] {
-    if (b_.run_done()) return;
-    const std::vector<int> alive = b_.alive_ranks();
-    if (!alive.empty()) {
-      ++counts_.rank_crashes;
-      b_.crash_rank(alive[rng_.next_below(alive.size())]);
-    }
-    arm_legacy_poisson();
   });
 }
 

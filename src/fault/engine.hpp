@@ -67,11 +67,9 @@ class FaultEngine final : public ftapi::FaultObserver {
 
   FaultEngine(Campaign campaign, std::uint64_t seed, Bindings b);
 
-  /// Schedules the timed and stochastic injections plus a legacy
-  /// deterministic fault plan and Poisson rate (the pre-engine
-  /// ClusterConfig surface). Call once, before the run starts.
-  void arm(const std::vector<std::pair<sim::Time, int>>& legacy_faults,
-           double legacy_rate_per_minute);
+  /// Schedules the campaign's timed and stochastic injections in campaign
+  /// order. Call once, before the run starts.
+  void arm();
 
   // --- execution-event triggers (ftapi::FaultObserver) ---------------------
   void on_rank_checkpoint(int rank, std::uint64_t completed) override;
@@ -110,7 +108,6 @@ class FaultEngine final : public ftapi::FaultObserver {
   void execute(const Injection& inj);
   void trigger_async(std::size_t idx);
   void arm_poisson(std::size_t idx);
-  void arm_legacy_poisson();
   void fail_over(int dead_shard);
   void announce_failover(const std::vector<int>& ranks, int dead_shard,
                          int successor);
@@ -136,7 +133,6 @@ class FaultEngine final : public ftapi::FaultObserver {
   std::vector<std::uint32_t> daemon_gen_;
   FaultCounts counts_;
   sim::Time first_el_fault_ = 0;
-  double legacy_poisson_mean_ns_ = 0;
 };
 
 }  // namespace mpiv::fault

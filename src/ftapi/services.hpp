@@ -76,7 +76,8 @@ struct RankServices {
   /// shard failover re-routes every client automatically).
   const elog::ElDirectory* el_dir = nullptr;
   /// > 0: retransmit interval for unacked checkpoint/EL requests (armed
-  /// only under fault campaigns, so fault-free runs schedule no timers).
+  /// only when a campaign can fail a service or link, so fault-free and
+  /// rank-crash-only runs schedule no timers).
   sim::Time service_retry = 0;
   /// This rank's trace lane (null = tracing disabled).
   trace::Lane* trace = nullptr;

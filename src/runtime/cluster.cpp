@@ -29,23 +29,9 @@ ClusterConfig validated(ClusterConfig cfg) {
              "el_standby must be in [0, 64] (got %d)", cfg.el_standby);
   MPIV_CHECK(cfg.el_standby == 0 || cfg.event_logger,
              "el_standby = %d requires event_logger = true", cfg.el_standby);
-  MPIV_CHECK(cfg.protocol != ProtocolKind::kP4 ||
-                 (cfg.faults.empty() && cfg.faults_per_minute == 0.0 &&
-                  cfg.campaign.empty()),
-             "MPICH-P4 is not fault tolerant");
-  for (std::size_t i = 0; i < cfg.faults.size(); ++i) {
-    const FaultSpec& f = cfg.faults[i];
-    MPIV_CHECK(f.rank >= 0 && f.rank < cfg.nranks,
-               "fault plan names rank %d but only ranks 0..%d exist", f.rank,
-               cfg.nranks - 1);
-    MPIV_CHECK(f.at > 0, "fault for rank %d scheduled at t <= 0 (got %lld)",
-               f.rank, static_cast<long long>(f.at));
-    for (std::size_t j = 0; j < i; ++j) {
-      MPIV_CHECK(cfg.faults[j].rank != f.rank || cfg.faults[j].at != f.at,
-                 "duplicate fault: rank %d at t = %lld named twice", f.rank,
-                 static_cast<long long>(f.at));
-    }
-  }
+  const scenario::ProtocolEntry& proto = scenario::protocol_entry(cfg.protocol);
+  MPIV_CHECK(proto.fault_tolerant || cfg.campaign.empty(),
+             "%s is not fault tolerant", proto.label(cfg).c_str());
   // Campaign sanity through the shared rule set (fault/campaign.hpp): every
   // injection must name a real target and an implementable trigger/action
   // combination before anything is scheduled.
@@ -54,9 +40,7 @@ ClusterConfig validated(ClusterConfig cfg) {
                            [](const std::string& what) {
                              MPIV_CHECK(false, "campaign: %s", what.c_str());
                            });
-  if (cfg.protocol == ProtocolKind::kCoordinated &&
-      cfg.ckpt_policy != ckpt::Policy::kNone) {
-    // Coordinated checkpointing is a global wave by construction.
+  if (proto.global_checkpoints && cfg.ckpt_policy != ckpt::Policy::kNone) {
     cfg.ckpt_policy = ckpt::Policy::kAllAtOnce;
   }
   return cfg;
@@ -123,15 +107,16 @@ Cluster::Cluster(ClusterConfig cfg)
   hooks.observer = fault_engine_.get();
   hooks.timeline = &timeline_;
   hooks.el_fault_at = fault_engine_->first_el_fault_ptr();
-  // Retransmit timers fire only under a campaign: fault-free runs stay
-  // event-for-event identical to the pre-engine runtime (the determinism
-  // goldens pin this).
-  hooks.service_retry = cfg_.campaign.empty() ? 0 : cfg_.campaign.service_retry;
+  // Retransmit timers fire only when a service or link can fail: fault-free
+  // and rank-crash-only runs stay event-for-event identical to the
+  // pre-engine runtime (the determinism goldens pin this).
+  hooks.service_retry = cfg_.campaign.needs_service_retry()
+                            ? cfg_.campaign.service_retry
+                            : 0;
   hooks.trace = trace_.get();
 
-  const net::ChannelKind channel = cfg_.protocol == ProtocolKind::kP4
-                                       ? net::ChannelKind::kP4
-                                       : net::ChannelKind::kV;
+  const net::ChannelKind channel =
+      scenario::protocol_entry(cfg_.protocol).channel;
   for (int r = 0; r < cfg_.nranks; ++r) {
     ranks_.push_back(std::make_unique<mpi::RankRuntime>(
         eng_, net_, layout_, r, channel, make_protocol(),
@@ -234,24 +219,15 @@ std::string Cluster::protocol_label() const {
 }
 
 ClusterReport Cluster::run(mpi::AppFactory factory) {
-  RecoveryMode mode = RecoveryMode::kRestart;
-  switch (cfg_.protocol) {
-    case ProtocolKind::kCoordinated: mode = RecoveryMode::kCoordinated; break;
-    case ProtocolKind::kReplica: mode = RecoveryMode::kPromote; break;
-    case ProtocolKind::kUlfm: mode = RecoveryMode::kShrink; break;
-    default: break;
-  }
   dispatcher_ = std::make_unique<Dispatcher>(
       net_, layout_, [this] {
         std::vector<mpi::RankRuntime*> v;
         for (auto& r : ranks_) v.push_back(r.get());
         return v;
       }(),
-      factory, mode, cfg_.detection_delay, &timeline_, cfg_.ulfm_repair_cost);
-  std::vector<std::pair<sim::Time, int>> legacy;
-  legacy.reserve(cfg_.faults.size());
-  for (const FaultSpec& f : cfg_.faults) legacy.emplace_back(f.at, f.rank);
-  fault_engine_->arm(legacy, cfg_.faults_per_minute);
+      factory, scenario::protocol_entry(cfg_.protocol).recovery,
+      cfg_.detection_delay, &timeline_, cfg_.ulfm_repair_cost);
+  fault_engine_->arm();
   sched_->start();
   dispatcher_->launch_all();
 

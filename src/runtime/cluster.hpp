@@ -58,11 +58,11 @@ struct ClusterConfig {
   ckpt::Policy ckpt_policy = ckpt::Policy::kNone;
   sim::Time ckpt_interval = 0;
 
-  std::vector<FaultSpec> faults;
-  double faults_per_minute = 0.0;
-  /// Declarative chaos campaign (EL shard crashes, checkpoint-server
-  /// outages, link perturbations, event-triggered rank kills) executed by
-  /// the fault engine alongside the legacy plan above.
+  /// The fault plan: rank crashes (timed, Poisson, event-triggered), EL
+  /// shard crashes, checkpoint-server outages, link perturbations —
+  /// everything the fault engine injects. scenario::lower turns the
+  /// spec-level `fault =`, `faults_per_minute` and mid-run crash spellings
+  /// into injections here.
   fault::Campaign campaign;
   sim::Time detection_delay = 250 * sim::kMillisecond;
 

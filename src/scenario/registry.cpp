@@ -116,7 +116,8 @@ Registry<ProtocolEntry>& protocols() {
             [](const runtime::ClusterConfig&) -> std::unique_ptr<ftapi::VProtocol> {
               return std::make_unique<ftapi::Vdummy>();
             },
-            [](const runtime::ClusterConfig&) { return fixed_label("MPICH-P4"); }});
+            [](const runtime::ClusterConfig&) { return fixed_label("MPICH-P4"); },
+            runtime::RecoveryMode::kRestart, net::ChannelKind::kP4});
     r->add("vdummy",
            {runtime::ProtocolKind::kVdummy,
             "MPICH-V framework without fault tolerance",
@@ -154,7 +155,9 @@ Registry<ProtocolEntry>& protocols() {
             },
             [](const runtime::ClusterConfig&) {
               return fixed_label("Coordinated (Chandy-Lamport)");
-            }});
+            },
+            runtime::RecoveryMode::kCoordinated, net::ChannelKind::kV,
+            /*global_checkpoints=*/true});
     r->add("replica",
            {runtime::ProtocolKind::kReplica,
             "replication hybrid: hot shadow absorbs the crash, no rollback",
@@ -165,7 +168,8 @@ Registry<ProtocolEntry>& protocols() {
             },
             [](const runtime::ClusterConfig&) {
               return fixed_label("Replica hybrid");
-            }});
+            },
+            runtime::RecoveryMode::kPromote});
     r->add("ulfm",
            {runtime::ProtocolKind::kUlfm,
             "ULFM-style shrink-and-repair: survivors rebuild and continue",
@@ -175,7 +179,8 @@ Registry<ProtocolEntry>& protocols() {
             },
             [](const runtime::ClusterConfig&) {
               return fixed_label("ULFM shrink-and-repair");
-            }});
+            },
+            runtime::RecoveryMode::kShrink});
     return r;
   }();
   return *reg;

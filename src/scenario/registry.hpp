@@ -76,13 +76,22 @@ class Registry {
 };
 
 /// Protocol registry payload: how to instantiate the per-rank VProtocol
-/// for a lowered config, and how to label it in reports.
+/// for a lowered config, how to label it in reports, and the properties
+/// runtime::Cluster reads off the family instead of switching on its kind.
 struct ProtocolEntry {
   runtime::ProtocolKind kind;
   const char* summary;
+  /// False: the protocol cannot survive a failure, so any fault plan is
+  /// rejected (validate() and the Cluster constructor).
   bool fault_tolerant;
   std::unique_ptr<ftapi::VProtocol> (*make)(const runtime::ClusterConfig&);
   std::string (*label)(const runtime::ClusterConfig&);
+  /// How the dispatcher answers a rank crash.
+  runtime::RecoveryMode recovery = runtime::RecoveryMode::kRestart;
+  /// Data path between the MPI process and the wire.
+  net::ChannelKind channel = net::ChannelKind::kV;
+  /// Checkpoints are global waves: any checkpoint policy runs all at once.
+  bool global_checkpoints = false;
 };
 
 /// Strategy registry payload: the causal piggyback-reduction strategies.

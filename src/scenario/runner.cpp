@@ -206,9 +206,7 @@ runtime::ClusterConfig lower(const ScenarioSpec& spec) {
   cfg.seed = spec.seed;
   cfg.ckpt_policy = spec.ckpt_policy;
   cfg.ckpt_interval = spec.ckpt_interval;
-  cfg.faults = spec.faults.faults;
-  cfg.faults_per_minute = spec.faults.faults_per_minute;
-  cfg.campaign = spec.faults.campaign;
+  cfg.campaign = spec.faults.lowered();
   cfg.detection_delay = spec.detection_delay;
   cfg.replica_sync_interval = spec.replica_sync_interval;
   cfg.ulfm_repair_cost = spec.ulfm_repair_cost;

@@ -285,19 +285,12 @@ bool apply_fault_key(ScenarioSpec& spec, const std::string& key,
         f.size() == 4 ? parse_time(key, f[3]) : 5 * sim::kMillisecond;
     c.injections.push_back(inj);
   } else if (key == "faults.rank_rate") {
-    // A Poisson crash process over random live ranks — the campaign twin of
-    // the legacy `faults_per_minute` key, salted/swept independently. Rate
+    // A Poisson crash process over random live ranks — the `[faults]`
+    // spelling of `faults_per_minute` (both lower to this injection). Rate
     // 0 = stream off, so a sweep axis can include the fault-free corner.
     const double rate = parse_f64(key, value);
     if (rate < 0) bad_value(key, value, "a rate >= 0 (0 = off)");
-    if (rate > 0) {
-      fault::Injection inj;
-      inj.target = fault::Target::kRank;
-      inj.index = -1;
-      inj.trigger = fault::Trigger::kRate;
-      inj.rate_per_minute = rate;
-      c.injections.push_back(inj);
-    }
+    if (rate > 0) c.injections.push_back(fault::rank_crash_rate(rate));
   } else if (key == "faults.crash_daemon") {
     // "<time>:<rank>[:<downtime>]" — only the communication daemon dies;
     // the app rank stalls until the dispatcher respawns it.
@@ -1010,6 +1003,20 @@ std::string to_scenario_text(const ScenarioSpec& spec) {
   return out.str();
 }
 
+fault::Campaign FaultPlan::lowered() const {
+  fault::Campaign c = campaign;
+  std::vector<fault::Injection> crashes;
+  crashes.reserve(faults.size());
+  for (const runtime::FaultSpec& f : faults) {
+    crashes.push_back(fault::rank_crash_at(f.at, f.rank));
+  }
+  c.injections.insert(c.injections.begin(), crashes.begin(), crashes.end());
+  if (faults_per_minute > 0) {
+    c.injections.push_back(fault::rank_crash_rate(faults_per_minute));
+  }
+  return c;
+}
+
 void validate(const ScenarioSpec& spec) {
   auto fail = [&spec](const std::string& what) {
     throw SpecError("scenario '" + spec.name + "': " + what);
@@ -1042,24 +1049,9 @@ void validate(const ScenarioSpec& spec) {
     fail("el_standby = " + std::to_string(spec.el_standby) + " but variant '" +
          spec.variant.name + "' disables the event logger");
   }
-  if (spec.variant.protocol == runtime::ProtocolKind::kP4 &&
+  if (!protocol_entry(spec.variant.protocol).fault_tolerant &&
       spec.faults.any()) {
-    fail("MPICH-P4 is not fault tolerant — remove the fault plan");
-  }
-  for (std::size_t i = 0; i < spec.faults.faults.size(); ++i) {
-    const runtime::FaultSpec& f = spec.faults.faults[i];
-    if (f.rank < 0 || f.rank >= spec.nranks) {
-      fail("fault plan names rank " + std::to_string(f.rank) +
-           " but only ranks 0.." + std::to_string(spec.nranks - 1) + " exist");
-    }
-    if (f.at <= 0) fail("fault time must be > 0");
-    for (std::size_t j = 0; j < i; ++j) {
-      if (spec.faults.faults[j].rank == f.rank &&
-          spec.faults.faults[j].at == f.at) {
-        fail("duplicate fault: rank " + std::to_string(f.rank) + " at t = " +
-             std::to_string(f.at) + "ns named twice");
-      }
-    }
+    fail(spec.variant.label + " is not fault tolerant — remove the fault plan");
   }
   if (spec.faults.midrun_rank >= spec.nranks) {
     fail("midrun fault names rank " + std::to_string(spec.faults.midrun_rank) +
@@ -1071,9 +1063,10 @@ void validate(const ScenarioSpec& spec) {
   if (spec.faults.faults_per_minute < 0) {
     fail("faults_per_minute must be >= 0");
   }
-  // Campaign sanity through the shared rule set (fault/campaign.hpp) —
+  // Campaign sanity through the shared rule set (fault/campaign.hpp), on
+  // the lowered plan so every crash spelling obeys the same rules —
   // scenario files must fail with a reportable SpecError, not an abort.
-  fault::validate_campaign(spec.faults.campaign, spec.nranks,
+  fault::validate_campaign(spec.faults.lowered(), spec.nranks,
                            spec.el_shards + spec.el_standby,
                            spec.variant.event_logger, fail);
   if (spec.ckpt_interval < 0) fail("ckpt_interval must be >= 0");

@@ -74,6 +74,13 @@ struct FaultPlan {
     return !faults.empty() || faults_per_minute > 0 || midrun_rank >= 0 ||
            !campaign.empty();
   }
+  /// The plan as the one campaign the fault engine runs: each timed crash
+  /// a kAt rank injection ahead of the campaign's own injections, and
+  /// `faults_per_minute` one random-rank Poisson stream appended last. The
+  /// engine arms injections in this order, so it fixes the run's event
+  /// sequence and RNG draws. The runner lowers the mid-run crash into
+  /// `faults` once the reference pass has timed it.
+  fault::Campaign lowered() const;
 };
 
 /// The full declarative experiment description. Field defaults mirror

@@ -1,7 +1,8 @@
 // Fault-injection engine tests: campaign parsing and round-trips, trigger
 // semantics (timed / event-triggered / stochastic), recovery-timeline phase
 // accounting, link perturbations, service outages with client retransmits,
-// and the validation satellites (duplicate faults, t <= 0, midrun_frac).
+// and the validation rules every crash spelling shares (duplicate faults,
+// t <= 0, midrun_frac) plus their byte-identical reports.
 #include <gtest/gtest.h>
 
 #include "runtime/cluster.hpp"
@@ -265,20 +266,31 @@ TEST(FaultCampaign, BuilderRoundTripsThroughScenarioText) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultValidation, RejectsDuplicateFaults) {
-  ScenarioBuilder b = base("dup");
-  b.fault_at(100 * sim::kMillisecond, 2).fault_at(100 * sim::kMillisecond, 2);
-  EXPECT_THROW(b.build(), SpecError);
-  // Same rank at a different time stays legal (repeated-crash tests rely
-  // on it).
-  ScenarioBuilder ok = base("dup_ok");
-  ok.fault_at(100 * sim::kMillisecond, 2).fault_at(200 * sim::kMillisecond, 2);
-  EXPECT_NO_THROW(ok.build());
+  // `fault =` and `faults.crash_rank =` lower to the same injection, so one
+  // rule set rejects a duplicate (time, rank) crash in either spelling and
+  // across the two.
+  for (const char* a : {"fault", "faults.crash_rank"}) {
+    for (const char* b : {"fault", "faults.crash_rank"}) {
+      std::string msg;
+      try {
+        base("dup").set(a, "100ms:2").set(b, "100ms:2").build();
+      } catch (const SpecError& e) {
+        msg = e.what();
+      }
+      EXPECT_NE(msg.find("duplicate fault: rank 2"), std::string::npos)
+          << a << " + " << b << ": " << msg;
+    }
+    // Same rank at a different time stays legal (repeated-crash tests rely
+    // on it).
+    EXPECT_NO_THROW(base("dup_ok").set(a, "100ms:2").set(a, "200ms:2").build())
+        << a;
+  }
 }
 
 TEST(FaultValidation, RejectsNonPositiveFaultTime) {
-  ScenarioBuilder b = base("t0");
-  b.fault_at(0, 1);
-  EXPECT_THROW(b.build(), SpecError);
+  for (const char* k : {"fault", "faults.crash_rank"}) {
+    EXPECT_THROW(base("t0").set(k, "0ms:1").build(), SpecError) << k;
+  }
 }
 
 TEST(FaultValidation, RejectsMidrunFracOutsideUnitInterval) {
@@ -397,19 +409,6 @@ TEST(FaultValidation, SweptServicePartitionStripsOnlyItsOwnKind) {
             (std::vector<int>{1}));
 }
 
-TEST(FaultValidation, LegacyClusterRejectsBadPlansToo) {
-  runtime::ClusterConfig dup;
-  dup.protocol = runtime::ProtocolKind::kCausal;
-  dup.faults.push_back(runtime::FaultSpec{1000, 1});
-  dup.faults.push_back(runtime::FaultSpec{1000, 1});
-  EXPECT_DEATH(runtime::Cluster{dup}, "duplicate fault");
-
-  runtime::ClusterConfig zero;
-  zero.protocol = runtime::ProtocolKind::kCausal;
-  zero.faults.push_back(runtime::FaultSpec{0, 1});
-  EXPECT_DEATH(runtime::Cluster{zero}, "t <= 0");
-}
-
 TEST(FaultValidation, SeedSweepAxisExpands) {
   ScenarioBuilder b = base("seed_sweep");
   b.set("faults.rank_rate", "2.0").sweep("seed", {"1", "2", "3"});
@@ -445,6 +444,31 @@ TEST(FaultValidation, SweptInjectionKeyReplacesTheBaseLine) {
   EXPECT_EQ(points[0].spec.faults.campaign.injections.back().at,
             2 * sim::kMillisecond);
   EXPECT_EQ(points[1].spec.faults.campaign.injections.back().index, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Spelling equivalence: every crash spelling lowers to the same injection,
+// so the two spellings of one plan produce byte-identical reports.
+// ---------------------------------------------------------------------------
+
+std::string report_with(const char* key, const char* value) {
+  ScenarioBuilder b = ring_base("spelling", /*nranks=*/8, 1, /*laps=*/40);
+  b.set(key, value);
+  return scenario::run_json_fragment(scenario::run_spec(b.build()));
+}
+
+TEST(FaultSpelling, TimedCrashReportsAreByteIdentical) {
+  const std::string plain = report_with("fault", "40ms:3");
+  EXPECT_EQ(plain, report_with("faults.crash_rank", "40ms:3"));
+  // The crash is counted in both spellings, not only in the campaign one.
+  EXPECT_NE(plain.find("\"rank_crashes\": 1,"), std::string::npos) << plain;
+}
+
+TEST(FaultSpelling, CrashRateReportsAreByteIdentical) {
+  const std::string plain = report_with("faults_per_minute", "1500");
+  EXPECT_EQ(plain, report_with("faults.rank_rate", "1500"));
+  EXPECT_EQ(plain.find("\"rank_crashes\": 0,"), std::string::npos)
+      << "no crash landed: " << plain;
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ namespace {
 using runtime::Cluster;
 using runtime::ClusterConfig;
 using runtime::ClusterReport;
-using runtime::FaultSpec;
 using runtime::ProtocolKind;
 using workloads::ChecksumResult;
 
@@ -81,7 +80,7 @@ TEST_P(MultiElRecovery, CrashRecoveryExactWithAnyShardCount) {
     ASSERT_TRUE(rep.completed);
     ref_time = rep.completion_time;
   }
-  cfg.faults.push_back(FaultSpec{ref_time * 3 / 4, 1});
+  cfg.campaign.injections.push_back(fault::rank_crash_at(ref_time * 3 / 4, 1));
   auto result = std::make_shared<ChecksumResult>(cfg.nranks);
   Cluster cluster(cfg);
   ClusterReport rep = cluster.run(

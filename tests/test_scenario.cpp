@@ -66,14 +66,38 @@ TEST(Builder, RejectsFaultPlanNamingMissingRank) {
   });
   EXPECT_NE(msg.find("names rank 4"), std::string::npos) << msg;
   EXPECT_NE(msg.find("0..3"), std::string::npos) << msg;
+  // The [faults] spelling of the same crash gets the same story.
+  EXPECT_EQ(msg, error_of([] {
+              ScenarioBuilder("t")
+                  .nranks(4)
+                  .variant("vcausal:el")
+                  .inject(fault::rank_crash_at(1000, 4))
+                  .build();
+            }));
   EXPECT_THROW(
       ScenarioBuilder("t").nranks(4).variant("vcausal:el").midrun_fault(9).build(),
       SpecError);
 }
 
-TEST(Builder, RejectsFaultsUnderP4) {
-  EXPECT_THROW(ScenarioBuilder("t").variant("p4").fault_at(10, 0).build(),
-               SpecError);
+TEST(Builder, RejectsFaultsUnderNonFaultTolerantProtocols) {
+  // The registry's fault_tolerant flag decides, not a kind check: vdummy
+  // cannot recover any more than p4, so a crash would leave the run
+  // incomplete.
+  for (const auto& [name, entry] : scenario::protocols().entries()) {
+    if (entry.fault_tolerant) continue;
+    const ScenarioBuilder b = ScenarioBuilder("t").variant(name);
+    const std::string msg =
+        error_of([&b] { ScenarioBuilder(b).fault_at(10, 0).build(); });
+    EXPECT_NE(msg.find("is not fault tolerant"), std::string::npos)
+        << name << ": " << msg;
+    EXPECT_THROW(ScenarioBuilder(b).set("faults.crash_rank", "10ms:0").build(),
+                 SpecError)
+        << name;
+    EXPECT_THROW(ScenarioBuilder(b).midrun_fault(1).build(), SpecError)
+        << name;
+  }
+  EXPECT_NO_THROW(
+      ScenarioBuilder("t").variant("pessimistic").fault_at(10, 0).build());
 }
 
 TEST(Builder, RejectsUnknownWorkloadParameters) {
@@ -542,10 +566,42 @@ TEST(Lowering, MapsEveryFieldOntoClusterConfig) {
   EXPECT_EQ(cfg.seed, 99u);
   EXPECT_EQ(cfg.ckpt_policy, ckpt::Policy::kRoundRobin);
   EXPECT_EQ(cfg.ckpt_interval, 50 * sim::kMillisecond);
-  ASSERT_EQ(cfg.faults.size(), 1u);
-  EXPECT_EQ(cfg.faults[0].rank, 5);
+  ASSERT_EQ(cfg.campaign.injections.size(), 1u);
+  EXPECT_EQ(cfg.campaign.injections[0].index, 5);
+  EXPECT_EQ(cfg.campaign.injections[0].at, 70 * sim::kMillisecond);
   EXPECT_EQ(cfg.detection_delay, 100 * sim::kMillisecond);
   EXPECT_EQ(cfg.max_sim_time, 30 * sim::kSecond);
+}
+
+TEST(Lowering, TimedCrashesLeadAndTheCrashRateTrails) {
+  // The fault engine arms injections in campaign order, which fixes its
+  // event sequence and RNG draws: `fault =` crashes go first, then the
+  // [faults] injections, then the `faults_per_minute` stream.
+  ScenarioBuilder b("order");
+  b.variant("vcausal:el")
+      .nranks(6)
+      .set("faults.rank_rate", "2")
+      .crash_daemon_at(30 * sim::kMillisecond, 1)
+      .fault_at(70 * sim::kMillisecond, 5)
+      .fault_at(20 * sim::kMillisecond, 4)
+      .fault_rate(3.0);
+  const std::vector<fault::Injection> inj =
+      scenario::lower(b.build()).campaign.injections;
+  ASSERT_EQ(inj.size(), 5u);
+  EXPECT_EQ(inj[0].index, 5);
+  EXPECT_EQ(inj[0].at, 70 * sim::kMillisecond);
+  EXPECT_EQ(inj[1].index, 4);
+  EXPECT_EQ(inj[1].at, 20 * sim::kMillisecond);
+  for (int i : {0, 1}) {
+    EXPECT_EQ(inj[i].target, fault::Target::kRank);
+    EXPECT_EQ(inj[i].trigger, fault::Trigger::kAt);
+  }
+  EXPECT_EQ(inj[2].rate_per_minute, 2.0);
+  EXPECT_EQ(inj[3].target, fault::Target::kDaemon);
+  EXPECT_EQ(inj[4].target, fault::Target::kRank);
+  EXPECT_EQ(inj[4].trigger, fault::Trigger::kRate);
+  EXPECT_EQ(inj[4].index, -1);
+  EXPECT_EQ(inj[4].rate_per_minute, 3.0);
 }
 
 // Legacy construction validates too: a hand-built ClusterConfig that the
@@ -559,14 +615,6 @@ TEST(ClusterDeath, RejectsShardsWithoutEventLogger) {
   cfg.event_logger = false;
   cfg.el_shards = 2;
   EXPECT_DEATH(runtime::Cluster{cfg}, "requires event_logger");
-}
-
-TEST(ClusterDeath, RejectsFaultOnMissingRank) {
-  runtime::ClusterConfig cfg;
-  cfg.nranks = 4;
-  cfg.protocol = runtime::ProtocolKind::kCausal;
-  cfg.faults.push_back(runtime::FaultSpec{1000, 7});
-  EXPECT_DEATH(runtime::Cluster{cfg}, "names rank 7");
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ namespace {
 using runtime::Cluster;
 using runtime::ClusterConfig;
 using runtime::ClusterReport;
-using runtime::FaultSpec;
 using runtime::ProtocolKind;
 using workloads::ChecksumResult;
 using workloads::NasClass;
@@ -111,7 +110,8 @@ TEST_P(NasKernelTest, SurvivesCrashWithIdenticalResults) {
   const NasRun ref = run_nas(cfg, n);
   ASSERT_TRUE(ref.report.completed);
 
-  cfg.faults.push_back(FaultSpec{ref.report.completion_time / 5, 1});
+  cfg.campaign.injections.push_back(
+      fault::rank_crash_at(ref.report.completion_time / 5, 1));
   NasRun out = run_nas(cfg, n);
   ASSERT_TRUE(out.report.completed) << workloads::nas_kernel_name(k);
   EXPECT_EQ(out.report.faults_injected, 1u);
