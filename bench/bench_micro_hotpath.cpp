@@ -25,8 +25,9 @@
 #include <vector>
 
 #include "causal/antecedence_graph.hpp"
+#include "causal/columnar_store.hpp"
+#include "causal/det_table.hpp"
 #include "causal/event_store.hpp"
-#include "causal/reference_event_store.hpp"
 #include "causal/reference_strategy.hpp"
 #include "causal/sender_log.hpp"
 #include "causal/vcausal_strategy.hpp"
@@ -119,8 +120,8 @@ mpiv::ftapi::Determinant make_det(std::uint32_t creator, std::uint64_t seq,
 // creator, query the watermarks a piggyback build reads, read the unstable
 // suffix back (LogOn's build and recovery collection decode it), and prune
 // on a periodic stable-clock advance (the Event Logger's GC effect). Run on
-// the columnar EventStore and on ReferenceEventStore, the per-event layout
-// it replaced: the `event_store` duel.
+// EventStore (intervals over a determinant table) and on ColumnarStore, the
+// per-rank copy store it replaced: the `event_store` duel.
 template <class Store>
 std::uint64_t bench_event_store(std::uint64_t rounds) {
   const int nranks = 16;
@@ -332,23 +333,26 @@ std::uint64_t bench_queue_binary_heap(std::uint64_t events) {
 // Piggyback exchange duels: a strategy's build/absorb versus its reference
 // (causal/reference_strategy.hpp) over the exact same message stream —
 // random point-to-point traffic over `n` ranks, stability trailing every
-// creator by 48 events. `vcausal_exchange` runs Vcausal's streamed factored
-// path at 96 ranks (the scale wall's hot layer); `logon_exchange` runs
+// creator by 48 events. `vcausal_exchange` runs Vcausal's host-form path
+// (runs over the table, the factored size computed) against the real
+// factored codec at 96 ranks (the scale wall's hot layer); `logon_exchange` runs
 // LogOn's in-place causal order and plain records at 16 ranks (lu16_logon's
-// hot layer). Items are piggybacked events.
+// hot layer). Items are piggybacked events. The ranks' stores share one
+// determinant table, as in runtime::Cluster.
 template <class S>
 std::uint64_t bench_exchange(std::uint64_t messages, int n) {
   const std::uint64_t lag = 48;
   const mpiv::net::CostModel cost{};
+  mpiv::causal::DetTable table(n);
   struct Rank {
-    explicit Rank(int nranks) : store(nranks) {}
+    Rank(int nranks, mpiv::causal::DetTable& t) : store(nranks, t) {}
     mpiv::causal::EventStore store;
     S strat;
     std::uint64_t seq = 0;
   };
   std::vector<std::unique_ptr<Rank>> ranks;
   for (int r = 0; r < n; ++r) {
-    ranks.push_back(std::make_unique<Rank>(n));
+    ranks.push_back(std::make_unique<Rank>(n, table));
     ranks.back()->strat.attach(&ranks.back()->store, &cost, r, n);
   }
   std::vector<std::uint64_t> stable(static_cast<std::size_t>(n), 0);
@@ -428,7 +432,7 @@ int main(int argc, char** argv) {
       "event_store", "event_store",
       [&] { return bench_event_store<mpiv::causal::EventStore>(200000 * scale); },
       "event_store_reference", [&] {
-        return bench_event_store<mpiv::causal::ReferenceEventStore>(200000 * scale);
+        return bench_event_store<mpiv::causal::ColumnarStore>(200000 * scale);
       });
   run_bench("graph_reach", [&] { return bench_graph_reach(20000 * scale); });
   run_bench("graph_full", [&] { return bench_graph_full(300 * scale); });

@@ -17,24 +17,37 @@
 # the "duel_floors" object of the repo-root BENCH_hotpath.json, or when a
 # duel has no floor there. Absolute wall times are recorded, never gated.
 #
+# With --scale it runs only the scale trajectory instead: scale_probe.scn
+# at one point per run (metrics.enabled=false) for nranks {64, 128, 256,
+# 512} x el_shards {1, 16}, each under `ulimit -v 8000000` (KB) and a
+# 300 s wall-clock cap. It records wall time, peak RSS and simulated events/s per point, and a point
+# that runs out of memory or hits the cap is recorded with that status, not
+# dropped. The rows are appended, under --label, to the "runs" list of the
+# --out file (default BENCH_scale.json), so the file keeps the trajectory.
+#
 # Usage: scripts/run_perf.sh [--quick] [--build-dir DIR] [--out FILE] [--label L]
+#        scripts/run_perf.sh --scale [--build-dir DIR] [--out FILE] [--label L]
 #   --quick      micro benches at reduced scale, duel floors gated (CI
 #                perf-smoke uses this)
+#   --scale      the scale trajectory (see above)
 #   --build-dir  build tree containing bench_micro_hotpath and mpiv_run
 #                (default: build)
-#   --out        output JSON path (default: BENCH_hotpath.json)
+#   --out        output JSON path (default: BENCH_hotpath.json, or
+#                BENCH_scale.json with --scale)
 #   --label      free-form label recorded in the report (default: "run")
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 QUICK=0
+SCALE=0
 BUILD_DIR=build
-OUT=BENCH_hotpath.json
+OUT=""
 LABEL=run
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --quick) QUICK=1 ;;
+    --scale) SCALE=1 ;;
     --build-dir) BUILD_DIR=$2; shift ;;
     --out) OUT=$2; shift ;;
     --label) LABEL=$2; shift ;;
@@ -42,6 +55,92 @@ while [[ $# -gt 0 ]]; do
   esac
   shift
 done
+
+if [[ $SCALE -eq 1 ]]; then
+  if [[ ! -x "$BUILD_DIR/mpiv_run" ]]; then
+    echo "error: $BUILD_DIR/mpiv_run not found — build first (Release)" >&2
+    exit 1
+  fi
+  echo "== scale trajectory (scale_probe.scn, one point per run) =="
+  MPIV_RUN="$BUILD_DIR/mpiv_run" OUT="${OUT:-BENCH_scale.json}" LABEL="$LABEL" \
+    python3 - <<'PY'
+import json, os, resource, signal, subprocess, tempfile, time
+
+mpiv_run = os.environ["MPIV_RUN"]
+out = os.environ["OUT"]
+vmem_kb = 8000000  # `ulimit -v` per point, in KB
+cap_s = 300.0      # wall-clock cap per point
+
+
+def limit():
+    # What `ulimit -v` sets: the child's address space, in bytes.
+    resource.setrlimit(resource.RLIMIT_AS, (vmem_kb * 1024, vmem_kb * 1024))
+
+
+def point(nranks, shards):
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "report.json")
+        err = open(os.path.join(tmp, "stderr"), "w+")
+        cmd = [mpiv_run, "--set", f"nranks={nranks}", "--set", f"el_shards={shards}",
+               "--set", "metrics.enabled=false", "--out", report,
+               "scenarios/scale_probe.scn"]
+        start = time.monotonic()
+        proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=err,
+                                preexec_fn=limit)
+        capped = False
+        while True:
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            if pid != 0:
+                break
+            if time.monotonic() - start > cap_s:
+                proc.kill()
+                capped = True
+                pid, status, usage = os.wait4(proc.pid, 0)
+                break
+            time.sleep(0.02)
+        wall = time.monotonic() - start
+        err.seek(0)
+        stderr = err.read()
+        row = {"nranks": nranks, "el_shards": shards,
+               "wall_s": round(wall, 3),
+               "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
+        code = os.waitstatus_to_exitcode(status)
+        if capped:
+            row["status"] = f"cap ({cap_s:g} s)"
+        elif code == 0:
+            row["status"] = "ok"
+        elif "bad_alloc" in stderr or code == -signal.SIGKILL:
+            row["status"] = f"oom (ulimit -v {vmem_kb})"
+        else:
+            row["status"] = f"exit {code}"
+        if code == 0 and os.path.exists(report):
+            run = json.load(open(report))["runs"][0]
+            row["events_per_s"] = round(run["events_executed"] / wall)
+            row["pb_events"] = run["pb_events"]
+            row["pb_pct"] = run["pb_pct"]
+        return row
+
+
+rows = []
+for nranks in (64, 128, 256, 512):
+    for shards in (1, 16):
+        row = point(nranks, shards)
+        print("  " + "  ".join(f"{k}={v}" for k, v in row.items()), flush=True)
+        rows.append(row)
+
+doc = {"runs": []}
+if os.path.exists(out):
+    doc = json.load(open(out))
+doc["runs"].append({"label": os.environ["LABEL"], "vmem_kb": vmem_kb,
+                    "cap_s": cap_s, "rows": rows})
+with open(out, "w") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+print(f"wrote {out}")
+PY
+  exit 0
+fi
+OUT=${OUT:-BENCH_hotpath.json}
 
 if [[ ! -x "$BUILD_DIR/bench_micro_hotpath" ]]; then
   echo "error: $BUILD_DIR/bench_micro_hotpath not found — build first:" >&2

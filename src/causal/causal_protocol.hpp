@@ -46,6 +46,7 @@ class CausalProtocol final : public MsgLogProtocolBase {
     ftapi::PiggybackOut out;
     const Strategy::Work w = strategy_->build(dst_rank, out.bytes, out.deps);
     out.events = w.events;
+    out.sim_bytes = w.bytes;
     // Fixed logging bookkeeping + sender-based copy + piggyback work; only
     // the last is "time to prepare causality information" (Fig. 8).
     out.stats_cpu = w.cpu;

@@ -9,10 +9,11 @@
 // wait-until-stable gate.
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "ftapi/determinant.hpp"
 #include "ftapi/services.hpp"
@@ -34,11 +35,12 @@ class ElClient {
 
   /// Asynchronously ships a local determinant to the Event Logger.
   void submit(const ftapi::Determinant& d) {
-    pending_.emplace(d.seq, svc_.eng->now());
+    track(d.seq);
     net::Message m;
     m.kind = net::MsgKind::kElEvent;
     m.src_rank = svc_.rank;
     m.arg = dir_epoch();  // epoch-stamped store batch (0 fault-free)
+    m.body.reserve(4 + ftapi::Determinant::kWireSize);  // one allocation
     m.body.put_u32(1);
     d.serialize(m.body);
     svc_.send_ctl(svc_.el_node_for(svc_.rank), std::move(m));
@@ -54,8 +56,9 @@ class ElClient {
     m.src_rank = svc_.rank;
     m.arg = dir_epoch();
     m.body.put_u32(static_cast<std::uint32_t>(dets.size()));
+    m.body.reserve(4 + dets.size() * ftapi::Determinant::kWireSize);
     for (const ftapi::Determinant& d : dets) {
-      pending_.emplace(d.seq, svc_.eng->now());
+      track(d.seq);
       d.serialize(m.body);
     }
     svc_.send_ctl(svc_.el_node_for(svc_.rank), std::move(m));
@@ -79,9 +82,16 @@ class ElClient {
     const std::vector<std::uint64_t>& vec = read_stable(m.body);
     // Ack latency: time from determinant creation to coverage by an ack.
     const std::uint64_t own = vec[static_cast<std::size_t>(svc_.rank)];
-    for (auto it = pending_.begin(); it != pending_.end() && it->first <= own;) {
-      svc_.stats->el_ack_latency_us.add(sim::to_us(svc_.eng->now() - it->second));
-      it = pending_.erase(it);
+    for (; head_ < pending_.size() && pending_[head_].seq <= own; ++head_) {
+      svc_.stats->el_ack_latency_us.add(
+          sim::to_us(svc_.eng->now() - pending_[head_].at));
+    }
+    if (head_ == pending_.size()) {
+      pending_.clear();
+      head_ = 0;
+    } else if (head_ >= 64 && 2 * head_ >= pending_.size()) {
+      pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
     }
     apply_stable(vec);
   }
@@ -170,9 +180,27 @@ class ElClient {
   void reset() {
     std::fill(stable_.begin(), stable_.end(), 0);
     pending_.clear();
+    head_ = 0;
   }
 
  private:
+  /// Starts the ack-latency clock of own determinant `seq`. Seqs arrive
+  /// ascending, except that a restarted rank's replay and a failover batch
+  /// may submit a seq again or below the newest pending one: like a map
+  /// keyed by seq, a seq still pending keeps its first time, and any other
+  /// is placed in seq order (and timed by the next ack that covers it).
+  void track(std::uint64_t seq) {
+    const sim::Time now = svc_.eng->now();
+    if (head_ == pending_.size() || seq > pending_.back().seq) {
+      pending_.push_back({seq, now});
+      return;
+    }
+    const auto it = std::lower_bound(
+        pending_.begin() + static_cast<std::ptrdiff_t>(head_), pending_.end(), seq,
+        [](const Pending& p, std::uint64_t s) { return p.seq < s; });
+    if (it == pending_.end() || it->seq != seq) pending_.insert(it, {seq, now});
+  }
+
   /// Reads a stable vector (one u64 per rank) into a reused scratch vector.
   const std::vector<std::uint64_t>& read_stable(util::Buffer& b) {
     const std::size_t bytes = stable_.size() * sizeof(std::uint64_t);
@@ -185,7 +213,14 @@ class ElClient {
   StableFn on_stable_;
   std::vector<std::uint64_t> stable_;
   std::vector<std::uint64_t> incoming_;  // read_stable's scratch
-  std::map<std::uint64_t, sim::Time> pending_;
+  // Submitted own determinants no ack has covered yet, ascending by seq,
+  // with their submit times: pending_[head_..] (acks advance head_).
+  struct Pending {
+    std::uint64_t seq;
+    sim::Time at;
+  };
+  std::vector<Pending> pending_;
+  std::size_t head_ = 0;
   std::unique_ptr<sim::WaitQueue> own_waiters_;
   std::unique_ptr<sim::OneShot> fetch_done_;
   ftapi::DeterminantList fetched_;

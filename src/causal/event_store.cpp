@@ -1,46 +1,46 @@
 #include "causal/event_store.hpp"
 
-#include <bit>
-#include <cstring>
+#include "causal/columnar_store.hpp"
+#include "causal/reference_strategy.hpp"
 
 namespace mpiv::causal {
 
-namespace {
-
-constexpr std::uint64_t kMinCapacity = 16;
-// A window no run reaches; beyond it a seq is corrupt, not unstable.
-constexpr std::uint64_t kMaxCapacity = std::uint64_t{1} << 40;
-
-/// Mask of `span` bits (1..64) starting at bit `at` of a word.
-std::uint64_t bit_mask(unsigned at, std::uint64_t span) {
-  const std::uint64_t ones = span >= 64 ? ~std::uint64_t{0}
-                                        : (std::uint64_t{1} << span) - 1;
-  return ones << at;
+EventStore::EventStore(int nranks)
+    : private_(std::make_unique<DetTable>(nranks)), table_(private_.get()),
+      per_(static_cast<std::size_t>(nranks)) {
+  table_->attach(this);
+  if (reference_checks().on) ref_ = std::make_unique<ColumnarStore>(nranks);
 }
 
-}  // namespace
-
-EventStore::EventStore(int nranks) : per_(static_cast<std::size_t>(nranks)) {
-  // Records keep `src` as a u16, like the factored wire format.
-  MPIV_CHECK(nranks >= 0 && nranks <= UINT16_MAX + 1,
-             "EventStore for %d ranks: src must fit in a u16", nranks);
+EventStore::EventStore(int nranks, DetTable& table)
+    : table_(&table), per_(static_cast<std::size_t>(nranks)) {
+  MPIV_CHECK(table.nranks() == nranks, "store for %d ranks over a %d-rank table",
+             nranks, table.nranks());
+  table_->attach(this);
+  if (reference_checks().on) ref_ = std::make_unique<ColumnarStore>(nranks);
 }
 
-bool EventStore::append_run(std::uint32_t creator, std::uint64_t first,
-                            std::size_t n, const std::uint8_t* records,
-                            const std::uint64_t* deps) {
-  Per& p = at(creator);
-  if (first <= p.top) return false;  // top >= stable
-  if (n == 0) return true;
-  const std::uint64_t last = first + n - 1;
-  if (last - p.stable > p.cap) grow(p, last);
-  place(p, first, n, records, deps);
-  p.top = last;
-  if (last > p.known) p.known = last;
-  held_ += n;
-  // Nothing is held above `last`, so the prefix can only reach it.
-  if (first == p.held_through + 1) p.held_through = last;
-  return true;
+EventStore::~EventStore() { table_->detach(this); }
+
+bool EventStore::insert_above(Per& p, const ftapi::Determinant& d) {
+  bool fresh = false;
+  const auto put_fresh = [&](std::uint64_t, std::uint64_t) {
+    put(d);
+    fresh = true;
+  };
+  hold(p, d.seq, d.seq, put_fresh);
+  return fresh;
+}
+
+void EventStore::keep_own(const ftapi::Determinant& d) {
+  Own& o = own_[{d.creator, d.seq}];
+  wire::encode_record(o.record, d);
+  o.dep = d.dep_word();
+}
+
+void EventStore::mirror_add(const ftapi::Determinant& d, bool fresh) {
+  MPIV_CHECK(ref_->add(d) == fresh, "reference store disagrees on (%u,%llu)",
+             d.creator, static_cast<unsigned long long>(d.seq));
 }
 
 void EventStore::set_stable(const std::vector<std::uint64_t>& stable) {
@@ -48,44 +48,63 @@ void EventStore::set_stable(const std::vector<std::uint64_t>& stable) {
              stable.size(), per_.size());
   for (std::size_t c = 0; c < per_.size(); ++c) {
     Per& p = per_[c];
-    if (stable[c] <= p.stable) continue;
-    const std::uint64_t hi = std::min(p.top, stable[c]);
-    if (hi > p.stable) held_ -= clear(p, p.stable + 1, hi);
-    p.stable = stable[c];
-    if (p.top < p.stable) p.top = p.stable;
-    if (p.held_through < p.stable) {
-      p.held_through = p.stable;
-      extend_held(p);
+    const std::uint64_t s = stable[c];
+    if (s <= p.stable) continue;
+    // Drop the held seqs at or below s: the prefix, then whole or cut
+    // intervals.
+    std::size_t dropped = static_cast<std::size_t>(std::min(p.held_through, s) - p.stable);
+    auto it = p.above.begin();
+    for (; it != p.above.end() && it->hi <= s; ++it) {
+      dropped += static_cast<std::size_t>(it->hi - it->lo + 1);
+    }
+    if (it != p.above.end() && it->lo <= s) {
+      dropped += static_cast<std::size_t>(s - it->lo + 1);
+      it->lo = s + 1;
+    }
+    p.above.erase(p.above.begin(), it);
+    held_ -= dropped;
+    if (!own_.empty()) {
+      const auto creator = static_cast<std::uint32_t>(c);
+      own_.erase(own_.lower_bound({creator, 0}), own_.upper_bound({creator, s}));
+    }
+    p.stable = s;
+    if (p.held_through < s) p.held_through = s;
+    // The prefix now reaches the first interval if that starts right after.
+    if (!p.above.empty() && p.above.front().lo == p.held_through + 1) {
+      p.held_through = p.above.front().hi;
+      p.above.erase(p.above.begin());
     }
   }
+  if (ref_ != nullptr) ref_->set_stable(stable);
 }
 
 void EventStore::serialize(util::Buffer& b) const {
   for (std::size_t c = 0; c < per_.size(); ++c) {
+    const auto creator = static_cast<std::uint32_t>(c);
     const Per& p = per_[c];
     b.put_u64(p.stable);
     b.put_u64(p.known);
-    std::size_t n = 0;
-    const auto count = [&n](const Run& r) { n += r.count; };
-    runs(p, 0, p.top, count);
+    std::uint64_t n = 0;
+    for_spans(creator, 0, UINT64_MAX,
+              [&n](std::uint64_t a, std::uint64_t e) { n += e - a + 1; });
     b.put_u32(static_cast<std::uint32_t>(n));
-    for_range(static_cast<std::uint32_t>(c), 0, p.top,
-              [&b](const ftapi::Determinant& d) {
-                d.serialize(b);
-                b.put_u16(static_cast<std::uint16_t>(
-                    d.dep_creator == UINT32_MAX ? 0xFFFF : d.dep_creator));
-                b.put_u64(d.dep_seq);
-              });
+    for_range(creator, 0, UINT64_MAX, [&b](const ftapi::Determinant& d) {
+      d.serialize(b);
+      b.put_u16(static_cast<std::uint16_t>(
+          d.dep_creator == UINT32_MAX ? 0xFFFF : d.dep_creator));
+      b.put_u64(d.dep_seq);
+    });
   }
 }
 
 void EventStore::restore(util::Buffer& b) {
+  const std::size_t start = b.cursor();
+  std::unique_ptr<ColumnarStore> ref = std::move(ref_);  // mirrored below
   reset();
   for (std::size_t c = 0; c < per_.size(); ++c) {
     Per& p = per_[c];
     p.stable = b.get_u64();
     p.known = b.get_u64();
-    p.top = p.stable;
     p.held_through = p.stable;
     const std::uint32_t n = b.get_u32();
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -95,103 +114,49 @@ void EventStore::restore(util::Buffer& b) {
       d.dep_seq = b.get_u64();
       MPIV_CHECK(d.creator == c, "image holds creator %u's event under %zu",
                  d.creator, c);
-      // insert() packs the edge, checking it is (src, seq) or none.
+      // The table packs the edge, checking it is (src, seq) or none.
       if (d.seq > p.stable) insert(p, d);
     }
+  }
+  ref_ = std::move(ref);
+  if (ref_ != nullptr) {
+    const std::vector<std::uint8_t>& bytes = b.bytes();
+    util::Buffer image(std::vector<std::uint8_t>(
+        bytes.begin() + static_cast<std::ptrdiff_t>(start),
+        bytes.begin() + static_cast<std::ptrdiff_t>(b.cursor())));
+    ref_->restore(image);
+    check_reference();
   }
 }
 
 void EventStore::reset() {
   for (Per& p : per_) {
-    if (p.cap > 0) std::memset(p.bits, 0, (p.cap + 63) / 64 * 8);
     p.stable = 0;
     p.known = 0;
     p.held_through = 0;
-    p.top = 0;
+    p.above.clear();
   }
   held_ = 0;
+  own_.clear();
+  if (ref_ != nullptr) ref_->reset();
 }
 
-std::uint64_t EventStore::scan(const Per& p, std::uint64_t from,
-                               std::uint64_t to, bool set) {
-  while (from <= to) {
-    const std::size_t i = p.index(from);
-    const unsigned at = i & 63;
-    const std::uint64_t word = set ? p.bits[i >> 6] : ~p.bits[i >> 6];
-    // Stay inside this word and this pass over the ring.
-    const std::uint64_t span =
-        std::min({std::uint64_t{64} - at, to - from + 1, p.cap - i});
-    const std::uint64_t hits = word & bit_mask(at, span);
-    if (hits != 0) {
-      return from + static_cast<std::uint64_t>(std::countr_zero(hits)) - at;
-    }
-    from += span;
+void EventStore::check_reference() const {
+  if (ref_ == nullptr) return;
+  MPIV_CHECK(held_ == ref_->held_count(), "held %zu vs reference %zu", held_,
+             ref_->held_count());
+  for (std::size_t c = 0; c < per_.size(); ++c) {
+    const auto creator = static_cast<std::uint32_t>(c);
+    MPIV_CHECK(per_[c].held_through == ref_->held_through(creator),
+               "creator %zu held through %llu vs reference %llu", c,
+               static_cast<unsigned long long>(per_[c].held_through),
+               static_cast<unsigned long long>(ref_->held_through(creator)));
   }
-  return to + 1;
-}
-
-void EventStore::grow(Per& p, std::uint64_t seq) {
-  MPIV_CHECK(seq - p.stable <= kMaxCapacity,
-             "event %llu is %llu past the stable point of its creator",
-             static_cast<unsigned long long>(seq),
-             static_cast<unsigned long long>(seq - p.stable));
-  std::uint64_t cap = std::max(kMinCapacity, 2 * p.cap);
-  while (cap < seq - p.stable) cap *= 2;
-  Per next;
-  next.cap = cap;
-  const std::uint64_t words = (cap + 63) / 64;
-  const std::uint64_t record_words = (cap * wire::kFactoredPerEvent + 7) / 8;
-  next.mem = std::make_unique<std::uint64_t[]>(cap + words + record_words);
-  next.deps = next.mem.get();
-  next.bits = next.deps + cap;
-  next.records = reinterpret_cast<std::uint8_t*>(next.bits + words);
-  // Slots depend on the capacity: re-home every held run.
-  const auto rehome = [&next](const Run& r) {
-    place(next, r.first, r.count, r.records, r.deps);
-  };
-  if (p.cap > 0) runs(p, 0, p.top, rehome);
-  p.cap = next.cap;
-  p.mem = std::move(next.mem);
-  p.deps = next.deps;
-  p.bits = next.bits;
-  p.records = next.records;
-}
-
-void EventStore::place(Per& p, std::uint64_t first, std::size_t n,
-                       const std::uint8_t* records, const std::uint64_t* deps) {
-  while (n > 0) {
-    const std::size_t i = p.index(first);
-    const std::size_t k =
-        static_cast<std::size_t>(std::min<std::uint64_t>(n, p.cap - i));
-    std::memcpy(p.record(i), records, k * wire::kFactoredPerEvent);
-    std::memcpy(p.deps + i, deps, k * sizeof(std::uint64_t));
-    for (std::size_t j = i, left = k; left > 0;) {
-      const unsigned at = j & 63;
-      const std::uint64_t span = std::min<std::uint64_t>(64 - at, left);
-      p.bits[j >> 6] |= bit_mask(at, span);
-      j += span;
-      left -= span;
-    }
-    first += k;
-    records += k * wire::kFactoredPerEvent;
-    deps += k;
-    n -= k;
-  }
-}
-
-std::size_t EventStore::clear(Per& p, std::uint64_t from, std::uint64_t to) {
-  std::size_t cleared = 0;
-  while (from <= to) {
-    const std::size_t i = p.index(from);
-    const unsigned at = i & 63;
-    const std::uint64_t span =
-        std::min({std::uint64_t{64} - at, to - from + 1, p.cap - i});
-    const std::uint64_t m = bit_mask(at, span);
-    cleared += static_cast<std::size_t>(std::popcount(p.bits[i >> 6] & m));
-    p.bits[i >> 6] &= ~m;
-    from += span;
-  }
-  return cleared;
+  util::Buffer mine, theirs;
+  serialize(mine);
+  ref_->serialize(theirs);
+  MPIV_CHECK(mine == theirs, "store and reference store hold different sets");
+  ++reference_checks().stores;
 }
 
 }  // namespace mpiv::causal

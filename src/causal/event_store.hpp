@@ -13,62 +13,109 @@
 // recovery takes the union of the EL prefix and every survivor's ranges —
 // contiguity of that union is asserted at the recovery site.
 //
-// Storage is columnar, in the factored piggyback's own layout. Each creator
-// has one power-of-two ring over (stable, stable + capacity], seq s in slot
-// (s-1) & (capacity-1), held in a single allocation with three columns:
-// the 14-byte factored record {src, ssn, tag} (laid out by causal/wire), a
-// u64 cross-edge word (Determinant::dep_word) and an occupancy bitmap.
-// A run of held events is therefore at most two contiguous stretches of
-// each column, and a piggyback build or absorb moves it with memcpy
-// (for_runs, append_run). for_range, collect and serialize decode whole
-// Determinants on the fly, so their output is independent of the layout.
+// The store keeps no determinant values. Those live once per cluster in a
+// DetTable (causal/det_table.hpp); the store records which seqs of each
+// creator this rank holds, as intervals over the table. Per creator that is
+// a hole-free prefix (stable, held_through] plus sorted, disjoint,
+// non-adjacent intervals above held_through + 1, usually none. A piggyback
+// absorbed from a peer sharing the table is an interval union (absorb_run):
+// nothing is copied. Holding an event is a promise on the table: it keeps
+// every seq above the lowest stable point of its stores (see DetTable).
+// A standalone store (the constructor without a table) owns a private
+// table; absorbing a piggyback built over another table imports the new
+// records from it.
+//
+// Values are per holder. A rank may hold an event with another cross edge
+// than the table's — one learned from a recovery response (no edge), a
+// replayed one (recomputed), or one passed on by a sender holding such an
+// edge — or, after overlapping crashes, with another record (a restored
+// image holding a reception its creator has since re-created differently).
+// The table never changes a value another store reads (DetTable::put), so
+// the store keeps such a copy itself (own_, empty unless a rank
+// restarted), and every read — get, for_runs, for_range, serialize —
+// returns the value this rank learned.
 //
 // `held_through(c)` is the top of the hole-free prefix: every seq of `c` at
 // or below it is held or at or below `stable(c)`, so adding it is a no-op.
-// A receiver skips that prefix of an incoming piggyback block undecoded,
-// and for_runs hands it out without consulting the bitmap.
+// for_runs hands out held events as the table's contiguous columns;
+// for_range, collect and serialize decode whole Determinants, so their
+// output (and the checkpoint image format) is independent of the layout.
+//
+// With reference checks on (causal/reference_strategy.hpp), every store
+// also mirrors add, set_stable, restore and reset into a private
+// ColumnarStore, the oracle; piggybacks reach it through the reference
+// codec (Strategy::take_factored).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "causal/wire.hpp"
+#include "causal/det_table.hpp"
 #include "ftapi/determinant.hpp"
 #include "util/buffer.hpp"
 #include "util/check.hpp"
 
 namespace mpiv::causal {
 
+class ColumnarStore;
+
 class EventStore {
  public:
   /// Consecutive held events whose columns are contiguous in memory.
-  struct Run {
-    std::uint64_t first = 0;              // seq of the first event
-    std::size_t count = 0;
-    const std::uint8_t* records = nullptr; // count * wire::kFactoredPerEvent
-    const std::uint64_t* deps = nullptr;   // count dep words
-  };
+  using Run = DetTable::Run;
 
+  /// A store over a private table.
   explicit EventStore(int nranks);
+  /// A store over `table` (shared by a cluster's ranks; must outlive it).
+  EventStore(int nranks, DetTable& table);
+  ~EventStore();
+  EventStore(const EventStore&) = delete;
+  EventStore& operator=(const EventStore&) = delete;
 
   int nranks() const { return static_cast<int>(per_.size()); }
+  const DetTable& table() const { return *table_; }
 
-  /// Records a determinant. Returns true if it was new.
+  /// Records a determinant, writing its value to the table. Returns true
+  /// if it was new.
   bool add(const ftapi::Determinant& d) {
     Per& p = at(d.creator);
-    if (d.seq <= p.stable) return false;
-    if (d.seq > p.known) p.known = d.seq;
-    return insert(p, d);
+    bool fresh = false;
+    if (d.seq > p.stable) {
+      if (d.seq > p.known) p.known = d.seq;
+      fresh = insert(p, d);
+    }
+    if (ref_ != nullptr) mirror_add(d, fresh);
+    return fresh;
   }
 
-  /// Stores `creator`'s events first .. first+n-1 from `n` back-to-back
-  /// factored records and their dep words, if all of them lie above
-  /// everything held for `creator` (so all are new). Returns false, storing
-  /// nothing, otherwise; the caller then adds them one at a time.
-  bool append_run(std::uint32_t creator, std::uint64_t first, std::size_t n,
-                  const std::uint8_t* records, const std::uint64_t* deps);
+  /// Holds `creator`'s events first .. first+n-1, which `from` holds the
+  /// values of; events at or below stable are ignored. New events are
+  /// imported from `from` unless it is this store's table, and each new
+  /// stretch is reported as on_new(first, count) once its values are in
+  /// the table (on_new may then set_own them).
+  template <class Fn>
+  void absorb_run(const DetTable& from, std::uint32_t creator,
+                  std::uint64_t first, std::uint64_t n, Fn&& on_new) {
+    if (n == 0) return;
+    Per& p = at(creator);
+    const std::uint64_t last = first + n - 1;
+    if (last <= p.stable) return;
+    if (last > p.known) p.known = last;
+    const std::uint64_t lo = std::max(first, p.stable + 1);
+    const auto fresh = [&](std::uint64_t a, std::uint64_t k) {
+      MPIV_CHECK(from.covers(creator, a, a + k - 1),
+                 "piggyback names events of creator %u its table does not keep",
+                 creator);
+      if (&from != table_) table_->put_run(from, creator, a, k);
+      on_new(a, k);
+    };
+    hold(p, lo, last, fresh);
+  }
 
   /// Highest event sequence of `creator` this rank has heard of.
   std::uint64_t known(std::uint32_t creator) const { return at(creator).known; }
@@ -80,8 +127,53 @@ class EventStore {
   }
   /// Whether `creator`'s event `seq` is held (false at or below stable).
   bool holds(std::uint32_t creator, std::uint64_t seq) const {
-    const Per& p = at(creator);
-    return seq > p.stable && seq <= p.top && p.occupied(p.index(seq));
+    return holds(at(creator), seq);
+  }
+  /// Whether `creator`'s event `seq` is held with the table's value.
+  bool reads_table(std::uint32_t creator, std::uint64_t seq) const {
+    return holds(creator, seq) &&
+           (own_.empty() || own_.find({creator, seq}) == own_.end());
+  }
+
+  /// A held event's own copy: its record and edge word.
+  struct Own {
+    std::uint8_t record[wire::kFactoredPerEvent];
+    std::uint64_t dep;
+  };
+
+  /// The held determinant `creator`'s event `seq`, with this store's value.
+  ftapi::Determinant get(std::uint32_t creator, std::uint64_t seq) const {
+    if (!own_.empty()) {
+      const auto it = own_.find({creator, seq});
+      if (it != own_.end()) {
+        ftapi::Determinant d = wire::decode_record(it->second.record, creator, seq);
+        d.set_dep_word(it->second.dep);
+        return d;
+      }
+    }
+    return table_->get(creator, seq);
+  }
+  /// Gives `creator`'s event `seq`, just absorbed (in on_new), the record
+  /// and edge word its sender held it with.
+  void set_own(std::uint32_t creator, std::uint64_t seq,
+               const std::uint8_t* record, std::uint64_t dep) {
+    if (!table_->has(creator, seq, record, dep)) {
+      Own& o = own_[{creator, seq}];
+      std::memcpy(o.record, record, sizeof o.record);
+      o.dep = dep;
+    }
+  }
+  /// Calls fn(seq, own) for each held event of `creator` in first..last
+  /// whose value is this store's own copy, ascending.
+  template <class Fn>
+  void for_own(std::uint32_t creator, std::uint64_t first, std::uint64_t last,
+               Fn&& fn) const {
+    for (auto it = own_.lower_bound({creator, first});
+         it != own_.end() && it->first.first == creator &&
+         it->first.second <= last;
+         ++it) {
+      fn(it->first.second, it->second);
+    }
   }
 
   /// Advances stability and prunes covered determinants (the EL's garbage
@@ -90,37 +182,63 @@ class EventStore {
 
   /// All held determinants created by `creator` (for recovery collection).
   void collect(std::uint32_t creator, ftapi::DeterminantList& out) const {
-    for_range(creator, 0, at(creator).top,
+    for_range(creator, 0, UINT64_MAX,
               [&out](const ftapi::Determinant& d) { out.push_back(d); });
   }
 
+  /// Calls fn(first, last) for each maximal run of held seqs of `creator`
+  /// in (lo, hi], ascending.
+  template <class Fn>
+  void for_spans(std::uint32_t creator, std::uint64_t lo, std::uint64_t hi,
+                 Fn&& fn) const {
+    const Per& p = at(creator);
+    if (lo < p.stable) lo = p.stable;
+    if (hi <= lo) return;
+    const std::uint64_t s = lo + 1;
+    if (s <= p.held_through) fn(s, std::min(p.held_through, hi));
+    for (auto it = first_above(p, s); it != p.above.end() && it->lo <= hi; ++it) {
+      fn(std::max(it->lo, s), std::min(it->hi, hi));
+    }
+  }
+
   /// Calls fn(run) for each maximal run of held events of `creator` in
-  /// (lo, hi], ascending; a run that wraps the ring comes as two.
+  /// (lo, hi], ascending; a run that wraps the table's ring comes as two.
   template <class Fn>
   void for_runs(std::uint32_t creator, std::uint64_t lo, std::uint64_t hi,
                 Fn&& fn) const {
-    runs(at(creator), lo, hi, fn);
+    for_spans(creator, lo, hi, [&](std::uint64_t a, std::uint64_t b) {
+      span_runs(creator, a, b, fn);
+    });
+  }
+  /// Calls fn(run) for `creator`'s held events first .. last (a span of
+  /// for_spans) as the table's columns; an event held as an own copy
+  /// comes as a run of its own, pointing at that copy.
+  template <class Fn>
+  void span_runs(std::uint32_t creator, std::uint64_t first, std::uint64_t last,
+                 Fn&& fn) const {
+    for_own(creator, first, last, [&](std::uint64_t seq, const Own& o) {
+      if (seq > first) table_->runs(creator, first, seq - 1, fn);
+      fn(Run{seq, 1, o.record, &o.dep});
+      first = seq + 1;
+    });
+    if (first <= last) table_->runs(creator, first, last, fn);
   }
 
   /// Iterates held determinants of `creator` in (lo, hi], in seq order,
-  /// decoding each. Ranges are short on the hot paths that use it (LogOn's
-  /// build), so it walks seq by seq; the bitmap is read only above
-  /// held_through.
+  /// decoding each from its run.
   template <class Fn>
   void for_range(std::uint32_t creator, std::uint64_t lo, std::uint64_t hi,
                  Fn&& fn) const {
-    const Per& p = at(creator);
-    const std::uint64_t to = std::min(hi, p.top);
     ftapi::Determinant d;
     d.creator = creator;
-    for (std::uint64_t s = std::max(lo, p.stable) + 1; s <= to; ++s) {
-      const std::size_t i = p.index(s);
-      if (s > p.held_through && !p.occupied(i)) continue;
-      d.seq = s;
-      wire::decode_record(p.record(i), d);
-      d.set_dep_word(p.deps[i]);
-      fn(static_cast<const ftapi::Determinant&>(d));
-    }
+    for_runs(creator, lo, hi, [&](const Run& r) {
+      for (std::size_t k = 0; k < r.count; ++k) {
+        d.seq = r.first + k;
+        wire::decode_record(r.records + k * wire::kFactoredPerEvent, d);
+        d.set_dep_word(r.deps[k]);
+        fn(static_cast<const ftapi::Determinant&>(d));
+      }
+    });
   }
 
   std::size_t held_count() const { return held_; }
@@ -129,6 +247,7 @@ class EventStore {
   /// held determinant's wire form plus u16 dep_creator (0xFFFF: none) and
   /// u64 dep_seq.
   void serialize(util::Buffer& b) const;
+  /// Restores an image, re-adding its records to the table.
   void restore(util::Buffer& b);
   void reset();
 
@@ -144,93 +263,106 @@ class EventStore {
     return v;
   }
 
+  /// The reference twin mirroring this store (null unless reference checks
+  /// were on when it was built).
+  ColumnarStore* reference() const { return ref_.get(); }
+  /// Dies unless the twin holds exactly what this store holds: the same
+  /// watermarks, held sets and values (no-op without a twin).
+  void check_reference() const;
+
  private:
-  // One creator's ring. Bits are set exactly for the held seqs, all of
-  // which lie in (stable, top]; top >= stable and top - stable <= capacity.
+  struct Interval {
+    std::uint64_t lo;
+    std::uint64_t hi;
+  };
+  // One creator's holds: (stable, held_through] plus `above`, whose
+  // intervals start past held_through + 1.
   struct Per {
     std::uint64_t stable = 0;
     std::uint64_t known = 0;
     std::uint64_t held_through = 0;
-    std::uint64_t top = 0;  // highest seq ever held, at least stable
-    std::uint64_t cap = 0;  // ring capacity, a power of two (0: no ring yet)
-    // One allocation: [deps: cap u64][bits: (cap+63)/64 u64][records].
-    std::unique_ptr<std::uint64_t[]> mem;
-    std::uint64_t* deps = nullptr;
-    std::uint64_t* bits = nullptr;
-    std::uint8_t* records = nullptr;  // cap * wire::kFactoredPerEvent bytes
-
-    std::size_t index(std::uint64_t seq) const {
-      return static_cast<std::size_t>((seq - 1) & (cap - 1));
-    }
-    std::uint8_t* record(std::size_t i) const {
-      return records + i * wire::kFactoredPerEvent;
-    }
-    bool occupied(std::size_t i) const { return (bits[i >> 6] >> (i & 63)) & 1; }
+    std::vector<Interval> above;
   };
 
-  /// Stores `d` (seq above stable) unless held; keeps held_through.
-  bool insert(Per& p, const ftapi::Determinant& d) {
-    if (d.seq - p.stable > p.cap) grow(p, d.seq);
-    const std::size_t i = p.index(d.seq);
-    if (d.seq <= p.top && p.occupied(i)) return false;
-    p.deps[i] = d.dep_word();
-    wire::encode_record(p.record(i), d);
-    p.bits[i >> 6] |= std::uint64_t{1} << (i & 63);
-    if (d.seq > p.top) p.top = d.seq;
-    ++held_;
-    if (d.seq == p.held_through + 1) {
-      p.held_through = d.seq;
-      extend_held(p);  // over a run that arrived earlier, if any
-    }
-    return true;
+  static std::vector<Interval>::const_iterator first_above(const Per& p,
+                                                           std::uint64_t s) {
+    // The first interval ending at or after s.
+    return std::lower_bound(
+        p.above.begin(), p.above.end(), s,
+        [](const Interval& iv, std::uint64_t x) { return iv.hi < x; });
+  }
+  static bool holds(const Per& p, std::uint64_t seq) {
+    if (seq <= p.stable) return false;
+    if (seq <= p.held_through) return true;
+    const auto it = first_above(p, seq);
+    return it != p.above.end() && it->lo <= seq;
   }
 
+  /// Holds `d` (above stable), writing its value if it was not held (or
+  /// keeping an own copy if the table keeps another value).
+  bool insert(Per& p, const ftapi::Determinant& d) {
+    if (d.seq != p.held_through + 1 || !p.above.empty()) return insert_above(p, d);
+    put(d);  // in order, no holes: the common case
+    p.held_through = d.seq;
+    ++held_;
+    return true;
+  }
+  /// insert() for `d` past a hole or among intervals.
+  bool insert_above(Per& p, const ftapi::Determinant& d);
+  /// Writes `d` to the table, or keeps it as an own copy if the table
+  /// keeps another value.
+  void put(const ftapi::Determinant& d) {
+    if (!table_->put(d, *this)) keep_own(d);
+  }
+  void keep_own(const ftapi::Determinant& d);
+  /// Adds `d` to the reference twin, which must agree it was `fresh`.
+  void mirror_add(const ftapi::Determinant& d, bool fresh);
+
+  /// Holds lo..hi (lo above stable); calls fresh(first, count) for each
+  /// stretch not held before, ascending, before marking it.
   template <class Fn>
-  static void runs(const Per& p, std::uint64_t lo, std::uint64_t hi, Fn& fn) {
-    std::uint64_t s = std::max(lo, p.stable) + 1;
-    const std::uint64_t to = std::min(hi, p.top);
-    if (s > to) return;
-    if (s <= p.held_through) {  // the hole-free prefix: no bitmap scan
-      const std::uint64_t e = std::min(p.held_through, to);
-      emit(p, s, e, fn);
-      s = e + 1;
+  void hold(Per& p, std::uint64_t lo, std::uint64_t hi, Fn& fresh) {
+    if (lo <= p.held_through) lo = p.held_through + 1;
+    if (lo > hi) return;
+    if (p.above.empty()) {  // the common case: no holes
+      fresh(lo, hi - lo + 1);
+      held_ += hi - lo + 1;
+      if (lo == p.held_through + 1) {
+        p.held_through = hi;
+      } else {
+        p.above.push_back({lo, hi});
+      }
+      return;
     }
-    while (s <= to) {
-      s = scan(p, s, to, true);
-      if (s > to) break;
-      const std::uint64_t e = scan(p, s, to, false) - 1;
-      emit(p, s, e, fn);
-      s = e + 1;
+    // Merge [lo, hi] with every interval it overlaps or touches.
+    auto it = p.above.begin() + (first_above(p, lo - 1) - p.above.cbegin());
+    auto end = it;
+    std::uint64_t cur = lo;  // first seq of [lo, hi] not yet accounted
+    Interval merged{lo, hi};
+    for (; end != p.above.end() && end->lo <= hi + 1; ++end) {
+      if (end->lo > cur) {
+        const std::uint64_t e = std::min(end->lo - 1, hi);
+        fresh(cur, e - cur + 1);
+        held_ += e - cur + 1;
+      }
+      cur = std::max(cur, end->hi + 1);
+      merged.lo = std::min(merged.lo, end->lo);
+      merged.hi = std::max(merged.hi, end->hi);
+    }
+    if (cur <= hi) {
+      fresh(cur, hi - cur + 1);
+      held_ += hi - cur + 1;
+    }
+    if (merged.lo == p.held_through + 1) {  // reaches the prefix
+      p.held_through = merged.hi;
+      p.above.erase(it, end);
+    } else if (it == end) {  // touches no interval
+      p.above.insert(it, merged);
+    } else {
+      *it = merged;
+      p.above.erase(it + 1, end);
     }
   }
-  /// Calls fn(run) for seqs s..e of `p` (all held), split at the ring's end.
-  template <class Fn>
-  static void emit(const Per& p, std::uint64_t s, std::uint64_t e, Fn& fn) {
-    const std::size_t i = p.index(s);
-    const std::uint64_t n = e - s + 1;
-    const std::uint64_t head = std::min<std::uint64_t>(n, p.cap - i);
-    fn(Run{s, static_cast<std::size_t>(head), p.record(i), p.deps + i});
-    if (head < n) {
-      fn(Run{s + head, static_cast<std::size_t>(n - head), p.records, p.deps});
-    }
-  }
-  /// First seq in [from, to] whose occupancy bit equals `set`, or to + 1.
-  static std::uint64_t scan(const Per& p, std::uint64_t from, std::uint64_t to,
-                            bool set);
-  /// Raises held_through over the held seqs that follow it.
-  static void extend_held(Per& p) {
-    if (p.top > p.held_through) {
-      p.held_through = scan(p, p.held_through + 1, p.top, false) - 1;
-    }
-  }
-  /// Re-homes `p` into a ring that covers (stable, seq].
-  static void grow(Per& p, std::uint64_t seq);
-  /// Copies `n` events into `p`'s slots for first.. and marks them held.
-  static void place(Per& p, std::uint64_t first, std::size_t n,
-                    const std::uint8_t* records, const std::uint64_t* deps);
-  /// Clears the bits of seqs from..to (a stretch of at most one ring);
-  /// returns how many were set.
-  static std::size_t clear(Per& p, std::uint64_t from, std::uint64_t to);
 
   Per& at(std::uint32_t c) {
     MPIV_CHECK(c < per_.size(), "bad creator %u", c);
@@ -240,8 +372,14 @@ class EventStore {
     MPIV_CHECK(c < per_.size(), "bad creator %u", c);
     return per_[c];
   }
+
+  std::unique_ptr<DetTable> private_;  // the private table, if any
+  DetTable* table_;
   std::vector<Per> per_;
   std::size_t held_ = 0;  // total held events across creators (O(1) stat)
+  // Held events whose value differs from the table's, by (creator, seq).
+  std::map<std::pair<std::uint32_t, std::uint64_t>, Own> own_;
+  std::unique_ptr<ColumnarStore> ref_;
 };
 
 }  // namespace mpiv::causal

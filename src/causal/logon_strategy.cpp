@@ -117,6 +117,7 @@ std::uint64_t LogOnStrategy::take_plain(int src, util::Buffer& in,
     if (store_->add(d)) graph_->add(d);
     note_learned(src, d.creator, d.seq);
   }
+  store_->check_reference();
   return n;
 }
 

@@ -33,9 +33,7 @@ Strategy::Work ManethoStrategy::build(int dst, util::Buffer& out,
                                       DepShadow& deps) {
   Work w;
   w.visits = select(dst);
-  const std::size_t start = out.size();
-  w.events = put_factored(dst, /*raise_cap=*/true, out, deps);
-  w.bytes = out.size() - start;
+  put_factored(dst, /*raise_cap=*/true, out, deps, w);
   w.cpu = w.visits * cost_->graph_visit +
           static_cast<sim::Time>(w.events) * cost_->ev_serialize;
   return w;

@@ -32,7 +32,9 @@ class MsgLogProtocolBase : public ftapi::VProtocol {
 
   void bind(const ftapi::RankServices& svc) override {
     ftapi::VProtocol::bind(svc);
-    store_ = std::make_unique<EventStore>(svc.nranks);
+    store_ = svc.det_table != nullptr
+                 ? std::make_unique<EventStore>(svc.nranks, *svc.det_table)
+                 : std::make_unique<EventStore>(svc.nranks);
     slog_ = std::make_unique<SenderLog>(svc.nranks);
     el_.attach(svc, [this](const std::vector<std::uint64_t>& stable) {
       store_->set_stable(stable);

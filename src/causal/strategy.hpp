@@ -8,8 +8,9 @@
 //
 // Vcausal and Manetho differ only in (a)-(b) and (d): both hand the base
 // class, per creator, the prefix the peer is known to hold, and the base
-// streams the rest in the factored format (put_factored) and merges
-// incoming factored piggybacks (take_factored).
+// writes the rest as held runs over the determinant table, pricing them at
+// the factored format's size (put_factored), and merges incoming runs as an
+// interval union (take_factored). Work::bytes is always the simulated size.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "causal/event_store.hpp"
+#include "causal/wire.hpp"
 #include "net/cost_model.hpp"
 #include "util/buffer.hpp"
 
@@ -67,7 +69,7 @@ class Strategy {
  public:
   struct Work {
     std::uint64_t events = 0;
-    std::uint64_t bytes = 0;
+    std::uint64_t bytes = 0;   // simulated piggyback bytes
     std::uint64_t visits = 0;  // antecedence-graph vertices touched
     sim::Time cpu = 0;
   };
@@ -128,28 +130,27 @@ class Strategy {
     v.raise_cap(creator, seq);
   }
 
-  /// Streams, for every creator c != dst, the held events in
-  /// (max(stable(c), holds_[c]), known(c)] to `out` in the factored format
-  /// and their cross edges to `deps`, then records in dst's view what was
-  /// sent (`sent`, and the transitive cap if `raise_cap`). `holds_[c]` is
-  /// the prefix of c's events dst is known to hold. Returns the events.
-  virtual std::uint64_t put_factored(int dst, bool raise_cap, util::Buffer& out,
-                                     DepShadow& deps);
-  /// Merges a factored piggyback from `src` (deps in wire order), skipping
-  /// undecoded each block's prefix the store already holds and copying the
-  /// rest in as one run when it all lies above what the store holds; every
-  /// event new to the store goes to on_absorbed if `absorb_hook_` is set.
+  /// Writes to `out`, in the host form (causal/wire.hpp), the held runs
+  /// of every creator c != dst in (max(stable(c), holds_[c]), known(c)],
+  /// then records in dst's view what was sent (`sent`, and the transitive
+  /// cap if `raise_cap`). `holds_[c]` is the prefix of c's events dst is
+  /// known to hold. Sets w.events and w.bytes (the factored size).
+  virtual void put_factored(int dst, bool raise_cap, util::Buffer& out,
+                            DepShadow& deps, Work& w);
+  /// Merges a host-form piggyback from `src` as an interval union, giving
+  /// each new event the sender's edge; every event new to the store goes to
+  /// on_absorbed if `absorb_hook_` is set.
   /// Returns the events it carried.
   virtual std::uint64_t take_factored(int src, util::Buffer& in,
                                       const DepShadow& deps);
   /// take_factored added `d` to the store (called when `absorb_hook_`).
   virtual void on_absorbed(const ftapi::Determinant& d) { (void)d; }
 
-  /// Calls fn(creator, run) for every held run put_factored would send
-  /// `dst` (creators ascending, each run ascending), then records in dst's
-  /// view what was sent, as put_factored does.
+  /// Calls fn(creator, first, last) for every maximal held run put_factored
+  /// would send `dst` (creators ascending, each run ascending), then
+  /// records in dst's view what was sent, as put_factored does.
   template <class Fn>
-  void for_held_runs(int dst, bool raise_cap, Fn&& fn) {
+  void for_held_spans(int dst, bool raise_cap, Fn&& fn) {
     PeerView& view = views_[static_cast<std::size_t>(dst)];
     for (int c = 0; c < nranks_; ++c) {
       if (c == dst) continue;  // never send a peer its own events back
@@ -158,13 +159,23 @@ class Strategy {
       const std::uint64_t hi = store_->known(creator);
       if (hi <= lo) continue;
       std::uint64_t top = 0;
-      store_->for_runs(creator, lo, hi, [&](const EventStore::Run& r) {
-        fn(creator, r);
-        top = r.first + r.count - 1;
+      store_->for_spans(creator, lo, hi, [&](std::uint64_t a, std::uint64_t b) {
+        fn(creator, a, b);
+        top = b;
       });
       if (top > view.sent[creator]) view.sent[creator] = top;
       if (raise_cap) view.raise_cap(creator, top);
     }
+  }
+  /// for_held_spans, handing out each run as columns (EventStore::span_runs).
+  template <class Fn>
+  void for_held_runs(int dst, bool raise_cap, Fn&& fn) {
+    for_held_spans(dst, raise_cap,
+                   [&](std::uint32_t creator, std::uint64_t a, std::uint64_t b) {
+                     store_->span_runs(creator, a, b, [&](const EventStore::Run& r) {
+                       fn(creator, r);
+                     });
+                   });
   }
 
   EventStore* store_ = nullptr;
@@ -174,6 +185,10 @@ class Strategy {
   std::vector<PeerView> views_;
   std::vector<std::uint64_t> holds_;  // put_factored's input, per creator
   bool absorb_hook_ = false;  // take_factored feeds on_absorbed
+
+ private:
+  std::vector<wire::HostRun> runs_;    // put_factored's scratch
+  std::vector<wire::HostOwn> owns_;  // put_factored's scratch
 };
 
 enum class StrategyKind : std::uint8_t { kVcausal, kManetho, kLogOn };

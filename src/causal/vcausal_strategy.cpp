@@ -10,9 +10,7 @@ Strategy::Work VcausalStrategy::build(int dst, util::Buffer& out,
     holds_[static_cast<std::size_t>(c)] =
         view.floor_known(static_cast<std::uint32_t>(c));
   }
-  const std::size_t start = out.size();
-  w.events = put_factored(dst, /*raise_cap=*/false, out, deps);
-  w.bytes = out.size() - start;
+  put_factored(dst, /*raise_cap=*/false, out, deps, w);
   // Selection scans the held sequences (grows without an Event Logger).
   w.cpu = static_cast<sim::Time>(w.events) * cost_->ev_serialize +
           static_cast<sim::Time>(static_cast<double>(store_->held_count()) *

@@ -10,24 +10,34 @@
 // the factored block header dominates and LogOn is the smaller format (the
 // paper's LU/4-nodes observation).
 //
-// The factored format has two implementations. The strategies stream it:
-// FactoredWriter copies held runs straight from the EventStore into the
-// outgoing buffer, and FactoredReader hands the receiver one block header at
-// a time so it can skip, undecoded, the prefix it already holds and take the
-// rest as raw records. factored_serialize / factored_parse round-trip a
-// vector and are the reference both are tested against. A block holds at
-// most UINT16_MAX events (longer runs continue in the next block) and a
+// The factored format is simulated, not built. Inside a cluster every
+// determinant's record already sits in the cluster's determinant table
+// (causal/det_table.hpp), so Vcausal and Manetho send a host form: the
+// address of the sender's table and one {creator u32, first u64, count u64}
+// entry per maximal held run (put_host_run / get_host_run), then the
+// sender's own copy of any carried event it holds differently from the
+// table (put_host_own / get_host_own; none unless a rank restarted). The
+// message
+// states the size the factored bytes would have had, factored_size(blocks,
+// events), where a run of n events takes factored_blocks(n) blocks, exactly
+// as the writers below cut them (net::Message::sim_body_bytes). The
+// factored bytes themselves now exist only in the reference:
+// factored_serialize / factored_parse round-trip a vector, and
+// FactoredWriter / FactoredReader stream runs (reference_put_factored /
+// reference_take_factored in causal/reference_strategy.hpp). A block holds
+// at most UINT16_MAX events (longer runs continue in the next block) and a
 // piggyback at most UINT16_MAX blocks.
 //
-// The factored per-event record is also the EventStore's storage layout, so
-// a run moves between store and buffer with one memcpy. encode_record /
+// The factored per-event record is also the table's storage layout, so a
+// run moves between table and buffer with one memcpy. encode_record /
 // decode_record are the only code that knows the record's fields.
 //
 // The plain (LogOn) record is {creator u16, seq u64} followed by the same
 // factored record, so LogOn's build writes each event as a key plus one
-// memcpy from the store (put_plain_record) and its absorb decodes records
-// in place (decode_plain_record). plain_serialize / plain_parse round-trip
-// a vector and are the reference both are tested against.
+// memcpy from the table (put_plain_record) and its absorb decodes records
+// in place (decode_plain_record). LogOn keeps real bytes on the wire.
+// plain_serialize / plain_parse round-trip a vector and are the reference
+// both are tested against.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +58,64 @@ constexpr std::uint64_t kPlainHeader = 2;                  // u16 event count
 constexpr std::uint64_t kPlainPerEvent = 2 + 8 + 2 + 8 + 4;// creator,seq,src,ssn,tag
 static_assert(kPlainPerEvent == 10 + kFactoredPerEvent,
               "a plain record is {creator, seq} + a factored record");
+
+/// Blocks that a maximal run of `n` consecutive events of one creator
+/// takes in the factored format: FactoredWriter::put_run and
+/// factored_serialize cut a block every UINT16_MAX events.
+constexpr std::uint64_t factored_blocks(std::uint64_t n) {
+  return (n + UINT16_MAX - 1) / UINT16_MAX;
+}
+/// Bytes of a factored piggyback of `events` events in `blocks` blocks.
+constexpr std::uint64_t factored_size(std::uint64_t blocks, std::uint64_t events) {
+  return kFactoredHeader + blocks * kFactoredBlockHeader +
+         events * kFactoredPerEvent;
+}
+
+// Host form of a factored piggyback (see top): u64 table address, u32 run
+// count, the runs, u32 own-copy count, then the own copies: one per carried
+// event whose record or edge word the sender holds differently from the
+// table's (causal/event_store.hpp), in run order.
+constexpr std::size_t kHostHeader = 8 + 4;
+constexpr std::size_t kHostRun = 4 + 8 + 8;  // creator, first, count
+constexpr std::size_t kHostOwn = 4 + 8 + kFactoredPerEvent + 8;  // + record, dep
+struct HostRun {
+  std::uint32_t creator = 0;
+  std::uint64_t first = 0;
+  std::uint64_t count = 0;
+};
+struct HostOwn {
+  std::uint32_t creator = 0;
+  std::uint64_t seq = 0;
+  const std::uint8_t* record = nullptr;  // kFactoredPerEvent bytes
+  std::uint64_t dep = 0;
+};
+inline void put_host_run(std::uint8_t* p, const HostRun& r) {
+  std::memcpy(p, &r.creator, 4);
+  std::memcpy(p + 4, &r.first, 8);
+  std::memcpy(p + 12, &r.count, 8);
+}
+inline HostRun get_host_run(const std::uint8_t* p) {
+  HostRun r;
+  std::memcpy(&r.creator, p, 4);
+  std::memcpy(&r.first, p + 4, 8);
+  std::memcpy(&r.count, p + 12, 8);
+  return r;
+}
+inline void put_host_own(std::uint8_t* p, const HostOwn& o) {
+  std::memcpy(p, &o.creator, 4);
+  std::memcpy(p + 4, &o.seq, 8);
+  std::memcpy(p + 12, o.record, kFactoredPerEvent);
+  std::memcpy(p + 12 + kFactoredPerEvent, &o.dep, 8);
+}
+/// The own copy at `p`; its record points into `p`.
+inline HostOwn get_host_own(const std::uint8_t* p) {
+  HostOwn o;
+  std::memcpy(&o.creator, p, 4);
+  std::memcpy(&o.seq, p + 4, 8);
+  o.record = p + 12;
+  std::memcpy(&o.dep, p + 12 + kFactoredPerEvent, 8);
+  return o;
+}
 
 /// Writes `d`'s factored record {src u16, ssn u64, tag u32} at `p`.
 inline void encode_record(std::uint8_t* p, const ftapi::Determinant& d) {

@@ -29,6 +29,7 @@
 #include "net/service_port.hpp"
 #include "trace/trace.hpp"
 #include "util/seq_window.hpp"
+#include "util/slab.hpp"
 
 namespace mpiv::elog {
 
@@ -248,28 +249,33 @@ class EventLogger {
     util::SeqWindow<ftapi::Determinant> dets;
   };
 
+  /// A store batch waiting for its service charge: the frame (body read
+  /// past its count), the count and the service generation it arrived in.
+  struct ParkedEvents {
+    net::Message frame;
+    std::uint32_t count = 0;
+    std::uint64_t gen = 0;
+  };
+
   void on_frame(net::Message&& m) {
     if (down_) return;  // crashed service: nothing is accepted
     const net::CostModel& c = net_.cost();
     switch (m.kind) {
       case net::MsgKind::kElEvent: {
+        // The frame parks in a slab until its service charge completes and
+        // is decoded then, so the closure stays inline in std::function.
         const std::uint32_t n = m.body.get_u32();
-        std::vector<ftapi::Determinant> dets;
-        dets.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          dets.push_back(ftapi::Determinant::deserialize(m.body));
-        }
         stats_->bytes_in += m.wire_bytes;
-        const net::NodeId reply_to = m.src;
-        const std::uint64_t gen = svc_gen_;
-        port_.charge_then(
-            static_cast<sim::Time>(n) * c.el_service,
-            [this, dets = std::move(dets), reply_to, gen] {
-              if (gen != svc_gen_) return;  // queue entry died with the service
-              for (const ftapi::Determinant& d : dets) store(d);
-              ack(reply_to);
-              if (obs_ != nullptr) obs_->on_el_stored(shard_, stored_ops_);
-            });
+        const std::uint32_t slot = parked_.put({std::move(m), n, svc_gen_});
+        port_.charge_then(static_cast<sim::Time>(n) * c.el_service, [this, slot] {
+          ParkedEvents p = parked_.take(slot);
+          if (p.gen != svc_gen_) return;  // queue entry died with the service
+          for (std::uint32_t i = 0; i < p.count; ++i) {
+            store(ftapi::Determinant::deserialize(p.frame.body));
+          }
+          ack(p.frame.src);
+          if (obs_ != nullptr) obs_->on_el_stored(shard_, stored_ops_);
+        });
         ++pending_;
         stats_->peak_queue = std::max(stats_->peak_queue, pending_);
         return;
@@ -423,6 +429,7 @@ class EventLogger {
   ftapi::FaultObserver* obs_;
   trace::Lane* trace_ = nullptr;
   net::ServicePort port_;
+  util::Slab<ParkedEvents> parked_;
   std::vector<Per> per_;
   std::vector<std::uint64_t> dup_by_rank_;
   std::vector<std::uint64_t> reconciled_by_rank_;

@@ -11,6 +11,10 @@
 #include "sim/engine.hpp"
 #include "trace/trace.hpp"
 
+namespace mpiv::causal {
+class DetTable;
+}
+
 namespace mpiv::ftapi {
 
 /// Execution-event sink for trigger-based fault injection ("kill rank 3 on
@@ -81,6 +85,9 @@ struct RankServices {
   sim::Time service_retry = 0;
   /// This rank's trace lane (null = tracing disabled).
   trace::Lane* trace = nullptr;
+  /// The cluster's determinant table, shared by every rank's EventStore
+  /// (null: each store keeps a private table).
+  causal::DetTable* det_table = nullptr;
 
   int el_shard_for(int r) const {
     return el_dir != nullptr ? el_dir->shard_of(r) : layout.el_shard_for_rank(r);

@@ -37,6 +37,9 @@ class ICheckpointOps {
 
 struct PiggybackOut {
   util::Buffer bytes;       // protocol bytes appended to the message body
+  // Simulated size of `bytes` on the wire (net::Message::sim_body_bytes):
+  // what every byte probe and the fabric count.
+  std::uint64_t sim_bytes = 0;
   sim::Time cpu = 0;        // total cost charged to the sender
   // The causality-management part of `cpu` (strategy selection +
   // serialization), the quantity the paper's Fig. 8 reports — excludes

@@ -23,6 +23,10 @@ class ArrivalDedup {
   /// Returns true if `ssn` is new (accept), false if duplicate (drop).
   bool accept(std::uint64_t ssn) {
     if (ssn <= watermark_) return false;
+    if (ssn == watermark_ + 1 && above_.empty()) {  // in order: no set node
+      watermark_ = ssn;
+      return true;
+    }
     if (!above_.insert(ssn).second) return false;
     while (!above_.empty() && *above_.begin() == watermark_ + 1) {
       ++watermark_;

@@ -42,6 +42,7 @@ RankRuntime::RankRuntime(sim::Engine& eng, net::Network& net,
   svc.el_dir = hooks_.el_directory;
   svc.service_retry = hooks_.service_retry;
   svc.trace = tlane_;
+  svc.det_table = hooks_.det_table;
   proto_->bind(svc);
 }
 
@@ -302,28 +303,28 @@ sim::Task<void> RankRuntime::send(int dst, int tag, std::uint64_t bytes,
   const std::uint64_t ssn = ++send_ssn_[static_cast<std::size_t>(pdst)];
   net::Payload payload{bytes, check};
   ftapi::PiggybackOut pb = proto_->on_send(pdst, ssn, payload, tag);
+  MPIV_CHECK(pb.bytes.empty() == (pb.sim_bytes == 0),
+             "piggyback of %zu host bytes states a simulated size of %llu",
+             pb.bytes.size(), static_cast<unsigned long long>(pb.sim_bytes));
   ++stats_->app_msgs_sent;
   stats_->app_bytes_sent += bytes;
-  stats_->pb_bytes_sent += pb.bytes.size();
+  stats_->pb_bytes_sent += pb.sim_bytes;
   stats_->pb_events_sent += pb.events;
   stats_->pb_send_cpu += pb.stats_cpu;
   if (pb.events == 0) ++stats_->pb_empty_msgs;
   // Worst single-message piggyback: the regrowth probe for EL outages (with
   // a healthy EL the unstable suffix — and so this peak — stays small).
-  stats_->pb_peak_msg_bytes =
-      std::max(stats_->pb_peak_msg_bytes,
-               static_cast<std::uint64_t>(pb.bytes.size()));
+  stats_->pb_peak_msg_bytes = std::max(stats_->pb_peak_msg_bytes, pb.sim_bytes);
   stats_->pb_peak_msg_events = std::max(stats_->pb_peak_msg_events, pb.events);
   trace::emit(tlane_, eng_.now(), trace::Kind::kSend, 0, pdst, ssn,
               static_cast<std::uint64_t>(tag), check);
   if (pb.events > 0) {
     trace::emit(tlane_, eng_.now(), trace::Kind::kPiggyback, 0, pdst, ssn,
-                pb.events, pb.bytes.size());
+                pb.events, pb.sim_bytes);
   }
   if (hooks_.el_fault_at != nullptr && *hooks_.el_fault_at > 0) {
     stats_->pb_peak_post_el_fault_bytes =
-        std::max(stats_->pb_peak_post_el_fault_bytes,
-                 static_cast<std::uint64_t>(pb.bytes.size()));
+        std::max(stats_->pb_peak_post_el_fault_bytes, pb.sim_bytes);
     stats_->pb_peak_post_el_fault_events =
         std::max(stats_->pb_peak_post_el_fault_events, pb.events);
   }
@@ -341,6 +342,7 @@ sim::Task<void> RankRuntime::send(int dst, int tag, std::uint64_t bytes,
   m.ssn = ssn;
   m.payload = payload;
   m.body = std::move(pb.bytes);
+  m.sim_body_bytes = pb.sim_bytes;
   m.dep_shadow = std::move(pb.deps);
   daemon_->submit_app(std::move(m));
 }

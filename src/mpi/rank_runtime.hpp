@@ -57,6 +57,8 @@ struct RankHooks {
   /// Cluster trace sink (null = tracing disabled); the runtime records into
   /// its own rank lane and shares that lane with the protocol + daemon.
   trace::TraceSink* trace = nullptr;
+  /// The cluster's determinant table (handed to the protocol's services).
+  causal::DetTable* det_table = nullptr;
 };
 
 /// Control-frame subtypes (carried in Message.tag of kControl frames).

@@ -4,7 +4,15 @@
 // metadata lives in typed fields whose wire size is accounted by the cost
 // model's header constant; *protocol* content that the paper measures in
 // bytes (causal piggybacks, Event Logger records, checkpoint images) is
-// carried as real serialized bytes in `body` so byte counts are exact.
+// carried in `body`, and its simulated size is `body_bytes()`.
+//
+// The simulated size is separate from the host bytes. Event Logger records,
+// checkpoint images, control records and LogOn's plain piggyback travel as
+// their real serialized bytes, so the two agree. A Vcausal or Manetho
+// piggyback travels in a compact host form instead — (creator, first,
+// count) runs over the cluster's determinant table (causal/det_table.hpp) —
+// and states in `sim_body_bytes` the size the factored wire format would
+// have had (causal/wire.hpp, factored_size).
 #pragma once
 
 #include <cstdint>
@@ -66,14 +74,22 @@ struct Message {
 
   // Protocol bytes: piggyback, determinants, images, control records.
   util::Buffer body;
+  // Simulated size of `body` when it is not body.size() (see top).
+  static constexpr std::uint64_t kBodyAsIs = UINT64_MAX;
+  std::uint64_t sim_body_bytes = kBodyAsIs;
+  std::uint64_t body_bytes() const {
+    return sim_body_bytes == kBodyAsIs ? body.size() : sim_body_bytes;
+  }
 
-  // Simulator-side shadow of the piggybacked events' causal dependencies
+  // Simulator-side shadow of a LogOn piggyback's causal dependencies
   // (cross-edge targets), in piggyback order. Real Manetho derives these
   // from the positional structure of its graph-fragment piggyback, so they
   // are NOT wire bytes (docs/DESIGN.md §2); carrying them out of band keeps the
   // byte accounting identical to the paper's formats while keeping every
   // node's antecedence graph causally exact. One word per event: the edge's
   // creator is always the event's src (ftapi::Determinant::dep_word).
+  // Vcausal and Manetho need none: their receivers read each event's edge
+  // from the determinant table.
   std::vector<std::uint64_t> dep_shadow;
 
   // Generic small scalar for control messages (avoids a body round-trip).

@@ -34,7 +34,7 @@ class ServicePort {
     charge_then(cpu, [this, slot] {
       Message frame = parked_.take(slot);
       frame.wire_bytes =
-          net_.cost().header_bytes + frame.payload.bytes + frame.body.size();
+          net_.cost().header_bytes + frame.payload.bytes + frame.body_bytes();
       net_.send(std::move(frame));
     });
   }

@@ -114,6 +114,8 @@ Cluster::Cluster(ClusterConfig cfg)
                             ? cfg_.campaign.service_retry
                             : 0;
   hooks.trace = trace_.get();
+  det_table_ = std::make_unique<causal::DetTable>(cfg_.nranks);
+  hooks.det_table = det_table_.get();
 
   const net::ChannelKind channel =
       scenario::protocol_entry(cfg_.protocol).channel;

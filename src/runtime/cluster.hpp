@@ -13,6 +13,7 @@
 
 #include "ckpt/checkpoint_server.hpp"
 #include "ckpt/scheduler.hpp"
+#include "causal/det_table.hpp"
 #include "causal/strategy.hpp"
 #include "elog/el_directory.hpp"
 #include "elog/event_logger.hpp"
@@ -174,6 +175,9 @@ class Cluster {
   std::unique_ptr<metrics::Registry> metrics_;
   std::unique_ptr<metrics::Sampler> sampler_;
   std::unique_ptr<fault::FaultEngine> fault_engine_;
+  // One determinant table for every rank's EventStore; declared before the
+  // ranks so it outlives their stores.
+  std::unique_ptr<causal::DetTable> det_table_;
   std::vector<std::unique_ptr<mpi::RankRuntime>> ranks_;
   std::vector<std::unique_ptr<elog::EventLogger>> els_;
   std::unique_ptr<ckpt::CheckpointServer> ckpt_;

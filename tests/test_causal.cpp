@@ -5,9 +5,10 @@
 // subset of Vcausal's), and LogOn's partial-order emission. The streamed
 // factored path and LogOn's in-place plain path are checked against their
 // references (causal/reference_strategy.hpp) message by message, LogOn's
-// order also against the map-based causal_order case by case, the columnar
-// EventStore against ReferenceEventStore operation by operation, and the
-// byte parsers (block reader, LogOn's plain reader, Determinant::deserialize,
+// order also against the map-based causal_order case by case, the interval
+// EventStore over its determinant table against ColumnarStore (the per-rank
+// copy store it replaced) operation by operation, and the byte parsers
+// (block reader, LogOn's plain reader, Determinant::deserialize,
 // EventStore::restore) are fuzzed.
 #include <gtest/gtest.h>
 
@@ -21,7 +22,8 @@
 #include "causal/event_store.hpp"
 #include "causal/logon_strategy.hpp"
 #include "causal/manetho_strategy.hpp"
-#include "causal/reference_event_store.hpp"
+#include "causal/columnar_store.hpp"
+#include "causal/det_table.hpp"
 #include "causal/reference_strategy.hpp"
 #include "causal/sender_log.hpp"
 #include "causal/vcausal_strategy.hpp"
@@ -271,7 +273,7 @@ TEST(EventStoreTest, HeldThroughResets) {
   EXPECT_EQ(s.held_through(1), 2u);
 }
 
-// --- columnar event store vs the reference ---------------------------------------
+// --- event store vs the columnar reference ----------------------------------------
 
 template <class Store>
 std::vector<ftapi::Determinant> collect_all(const Store& s) {
@@ -299,8 +301,8 @@ void expect_same_dets(const std::vector<ftapi::Determinant>& a,
 }
 
 // The run API, decoded, is for_range; runs are maximal, so two runs with
-// adjacent seqs are split at the end of the ring (their records are not
-// adjacent). Returns how many such wrap splits it saw.
+// adjacent seqs are split at the end of the table's ring (their records are
+// not adjacent). Returns how many such wrap splits it saw.
 std::uint64_t expect_runs_match_range(const EventStore& s, std::uint32_t c,
                                       std::uint64_t lo, std::uint64_t hi) {
   std::vector<ftapi::Determinant> decoded;
@@ -326,7 +328,7 @@ std::uint64_t expect_runs_match_range(const EventStore& s, std::uint32_t c,
 }
 
 // Everything observable about the two stores is equal.
-void expect_same_stores(const EventStore& fast, const ReferenceEventStore& ref,
+void expect_same_stores(const EventStore& fast, const ColumnarStore& ref,
                         util::Rng& rng, std::uint64_t* wraps = nullptr) {
   ASSERT_EQ(fast.held_count(), ref.held_count());
   ASSERT_EQ(fast.known_vector(), ref.known_vector());
@@ -353,8 +355,118 @@ void expect_same_stores(const EventStore& fast, const ReferenceEventStore& ref,
   ASSERT_EQ(fb, rb);
 }
 
+TEST(EventStoreTest, EdgesArePerHolder) {
+  // One table, three holders of creator 1's events 1..3. B learns event 2
+  // without its edge (as from a recovery response); a piggyback from B
+  // passes that edge on to C, and stability drops it again.
+  DetTable table(3);
+  EventStore a(3, table), b(3, table), c(3, table);
+  std::vector<ftapi::Determinant> events;
+  for (std::uint64_t q = 1; q <= 3; ++q) {
+    ftapi::Determinant d = det(1, q, 2, q);
+    d.dep_creator = 2;
+    d.dep_seq = 10 + q;
+    events.push_back(d);
+    a.add(d);
+  }
+  ftapi::Determinant bare = events[1];
+  bare.dep_creator = UINT32_MAX;
+  bare.dep_seq = 0;
+  for (const ftapi::Determinant& d : {events[0], bare, events[2]}) {
+    ASSERT_TRUE(b.add(d));
+  }
+  EXPECT_EQ(a.get(1, 2).dep_word(), events[1].dep_word());
+  EXPECT_EQ(b.get(1, 2).dep_word(), ftapi::Determinant::kNoDep);
+  std::vector<std::uint64_t> deps;
+  b.for_runs(1, 0, 3, [&deps](const EventStore::Run& r) {
+    deps.insert(deps.end(), r.deps, r.deps + r.count);
+  });
+  EXPECT_EQ(deps, (std::vector<std::uint64_t>{11, ftapi::Determinant::kNoDep, 13}));
+
+  net::CostModel cost;
+  VcausalStrategy from, to;
+  from.attach(&b, &cost, /*rank=*/0, 3);
+  to.attach(&c, &cost, /*rank=*/2, 3);
+  util::Buffer pb;
+  Strategy::DepShadow shadow;
+  EXPECT_EQ(from.build(2, pb, shadow).events, 3u);
+  to.absorb(0, pb, shadow);
+  expect_same_dets(range_of(c, 1, 0, 3), range_of(b, 1, 0, 3));
+  util::Buffer bi, ci;
+  b.serialize(bi);
+  c.serialize(ci);
+  EXPECT_EQ(bi, ci);
+
+  c.set_stable({0, 2, 0});
+  EXPECT_EQ(c.get(1, 3).dep_word(), events[2].dep_word());
+  c.add(bare);  // at or below stable: a no-op
+  EXPECT_FALSE(c.holds(1, 2));
+}
+
+// Overlapping crashes in miniature. R's image holds creator 1's event 2;
+// R and the creator crash, and while R is down the creator re-creates
+// event 2 as another reception. No store reads the old value, so the
+// table takes the new one. R's restore then re-adds the old value: the
+// table must not change under the creator, and R must keep reading (and
+// passing on) the value it learned, as if every rank kept its own store.
+TEST(EventStoreTest, RecreatedValuesStayPerHolder) {
+  struct CountOverwrites {
+    CountOverwrites() {
+      reference_checks() = {};
+      reference_checks().on = true;
+    }
+    ~CountOverwrites() { reference_checks().on = false; }
+  } const counting;
+  DetTable table(3);
+  EventStore creator(3, table), r(3, table), c(3, table);
+  const ftapi::Determinant one = det(1, 1, 0, 1), old = det(1, 2, 0, 2);
+  for (EventStore* s : {&creator, &r}) {
+    s->add(one);
+    s->add(old);
+  }
+  util::Buffer image;
+  r.serialize(image);
+  r.reset();
+  creator.reset();
+  creator.add(one);
+  const ftapi::Determinant recreated = det(1, 2, 2, 9, 4);
+  ASSERT_TRUE(creator.add(recreated));
+  EXPECT_EQ(reference_checks().overwrites, 1u);
+  EXPECT_EQ(reference_checks().own_copies, 0u);
+  r.restore(image);
+  EXPECT_EQ(reference_checks().own_copies, 1u);
+  EXPECT_EQ(creator.get(1, 2), recreated);
+  EXPECT_EQ(r.get(1, 2), old);
+  util::Buffer before;
+  r.serialize(before);
+  image.rewind();
+  EXPECT_EQ(before, image);
+
+  // R's piggyback carries its own copy; the creator's carries the table's.
+  net::CostModel cost;
+  VcausalStrategy from_r, to_c;
+  from_r.attach(&r, &cost, /*rank=*/0, 3);
+  to_c.attach(&c, &cost, /*rank=*/2, 3);
+  util::Buffer pb;
+  Strategy::DepShadow shadow;
+  EXPECT_EQ(from_r.build(2, pb, shadow).events, 2u);
+  to_c.absorb(0, pb, shadow);
+  EXPECT_EQ(c.get(1, 2), old);
+  EventStore d(3, table);
+  VcausalStrategy from_creator, to_d;
+  from_creator.attach(&creator, &cost, /*rank=*/1, 3);
+  to_d.attach(&d, &cost, /*rank=*/0, 3);
+  util::Buffer pb2;
+  Strategy::DepShadow shadow2;
+  EXPECT_EQ(from_creator.build(0, pb2, shadow2).events, 2u);
+  to_d.absorb(1, pb2, shadow2);
+  EXPECT_EQ(d.get(1, 2), recreated);
+  EXPECT_EQ(reference_checks().own_copies, 1u);
+}
+
 // A determinant of `creator` at `seq` with a random src and, half the
 // time, a cross edge on that src (the only edge CausalProtocol creates).
+
 ftapi::Determinant random_det(util::Rng& rng, std::uint32_t creator,
                               std::uint64_t seq, int nranks) {
   ftapi::Determinant d =
@@ -369,17 +481,18 @@ ftapi::Determinant random_det(util::Rng& rng, std::uint32_t creator,
 
 // Seeded operation sequences over both stores: adds in order, out of order
 // (holes above stable), duplicated and at or below stable; whole runs
-// through append_run (added one at a time to the reference); set_stable
-// through holes and past everything held; serialize -> restore into a store
-// with other contents; reset. Stability trails the adds, so the rings wrap
-// and grow while wrapped.
+// absorbed from another store's table (added one at a time to the
+// reference), above or overlapping what is held; set_stable through holes
+// and past everything held; serialize -> restore into a store with other
+// contents; reset. Stability trails the adds, so the table's rings wrap,
+// prune and grow while wrapped.
 void run_store_differential(std::uint64_t seed) {
   constexpr int kRanks = 3;
   constexpr int kSteps = 4000;
   util::Rng rng(seed);
   EventStore fast(kRanks);
-  ReferenceEventStore ref(kRanks);
-  std::uint64_t wraps = 0, holes = 0, appended = 0, refused = 0;
+  ColumnarStore ref(kRanks);
+  std::uint64_t wraps = 0, holes = 0, above = 0, overlapped = 0;
   for (int step = 0; step < kSteps; ++step) {
     SCOPED_TRACE(step);
     const auto c = static_cast<std::uint32_t>(rng.next_below(kRanks));
@@ -403,22 +516,23 @@ void run_store_differential(std::uint64_t seed) {
       const std::uint64_t first = rng.next_below(3) == 0
                                       ? stable + 1 + rng.next_below(floor + 1 - stable)
                                       : floor + 1 + rng.next_below(5);
-      std::vector<std::uint8_t> records(n * wire::kFactoredPerEvent);
-      std::vector<std::uint64_t> deps(n);
+      // The sender's copy: the same values where the receiver holds them.
+      EventStore src(kRanks);
       std::vector<ftapi::Determinant> run;
       for (std::uint64_t k = 0; k < n; ++k) {
-        run.push_back(random_det(rng, c, first + k, kRanks));
-        wire::encode_record(records.data() + k * wire::kFactoredPerEvent, run.back());
-        deps[k] = run.back().dep_word();
+        ftapi::Determinant d = random_det(rng, c, first + k, kRanks);
+        fast.for_range(c, d.seq - 1, d.seq,
+                       [&d](const ftapi::Determinant& held) { d = held; });
+        run.push_back(d);
+        src.add(d);
       }
-      if (fast.append_run(c, first, n, records.data(), deps.data())) {
-        ++appended;
-        ASSERT_GT(first, floor);
-      } else {
-        ++refused;
-        for (const ftapi::Determinant& d : run) fast.add(d);
-      }
-      for (const ftapi::Determinant& d : run) ref.add(d);
+      std::uint64_t fresh = 0;
+      fast.absorb_run(src.table(), c, first, n,
+                      [&fresh](std::uint64_t, std::uint64_t k) { fresh += k; });
+      std::uint64_t added = 0;
+      for (const ftapi::Determinant& d : run) added += ref.add(d) ? 1 : 0;
+      ASSERT_EQ(fresh, added);
+      ++(first > floor ? above : overlapped);
     } else if (op < 93) {  // stability: through holes, sometimes past known
       std::vector<std::uint64_t> st = fast.stable_vector();
       for (int k = 0; k < kRanks; ++k) {
@@ -462,8 +576,8 @@ void run_store_differential(std::uint64_t seed) {
   }
   EXPECT_GT(wraps, 0u) << "no run ever wrapped the ring";
   EXPECT_GT(holes, 0u) << "no store ever held a hole";
-  EXPECT_GT(appended, 0u);
-  EXPECT_GT(refused, 0u);
+  EXPECT_GT(above, 0u);
+  EXPECT_GT(overlapped, 0u);
 }
 
 TEST(EventStoreDiff, MatchesReferenceOverSeededOps) {
@@ -474,26 +588,25 @@ TEST(EventStoreDiff, MatchesReferenceOverSeededOps) {
 }
 
 TEST(EventStoreDiff, RunsLongerThanU16) {
-  // Three 70,000-event runs through append_run (one at a time into the
-  // reference), stability landing mid-run between them so each next run
-  // wraps the ring and grows it; streamed back as runs they must make the
-  // reference bytes, continuing in a new block every UINT16_MAX events.
+  // Three 70,000-event runs absorbed from another store's table (one at a
+  // time into the reference), stability landing mid-run between them so
+  // each next run wraps the ring and grows it; streamed back as runs they
+  // must make the reference bytes, continuing in a new block every
+  // UINT16_MAX events, and the computed size must match.
   util::Rng rng(17);
   EventStore fast(2);
-  ReferenceEventStore ref(2);
+  ColumnarStore ref(2);
   constexpr std::size_t kRun = 70000;
   std::uint64_t first = 1;
   for (std::uint64_t round = 0; round < 3; ++round) {
     SCOPED_TRACE(round);
-    std::vector<std::uint8_t> records(kRun * wire::kFactoredPerEvent);
-    std::vector<std::uint64_t> deps(kRun);
+    EventStore src(2);
     for (std::size_t k = 0; k < kRun; ++k) {
       const ftapi::Determinant d = random_det(rng, 1, first + k, 2);
-      wire::encode_record(records.data() + k * wire::kFactoredPerEvent, d);
-      deps[k] = d.dep_word();
+      src.add(d);
       ref.add(d);
     }
-    ASSERT_TRUE(fast.append_run(1, first, kRun, records.data(), deps.data()));
+    fast.absorb_run(src.table(), 1, first, kRun, [](std::uint64_t, std::uint64_t) {});
     expect_same_stores(fast, ref, rng);
     const std::vector<ftapi::Determinant> held = range_of(ref, 1, 0, UINT64_MAX);
     util::Buffer expect;
@@ -505,6 +618,8 @@ TEST(EventStoreDiff, RunsLongerThanU16) {
     });
     writer.finish();
     ASSERT_EQ(got, expect);
+    EXPECT_EQ(expect.size(), wire::factored_size(wire::factored_blocks(held.size()),
+                                                 held.size()));
     first += kRun;
     const std::vector<std::uint64_t> stable = {0, first - 1 - kRun / 2 - round * 1000};
     fast.set_stable(stable);
@@ -611,6 +726,19 @@ TEST(SenderLogTest, SerializeRestoreRoundTrip) {
 
 // --- strategy properties -------------------------------------------------------------
 
+// A host-form piggyback carrying `events` (one creator's consecutive seqs)
+// over the table of `holder`, which holds them.
+util::Buffer host_form(const EventStore& holder,
+                       const std::vector<ftapi::Determinant>& events) {
+  util::Buffer b;
+  b.put_u64(static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&holder.table())));
+  b.put_u32(1);
+  wire::put_host_run(b.extend(wire::kHostRun),
+                     {events.front().creator, events.front().seq, events.size()});
+  b.put_u32(0);  // no edges of the sender's own
+  return b;
+}
+
 struct StratFixture {
   EventStore store{4};
   net::CostModel cost;
@@ -633,10 +761,10 @@ struct StratFixture {
     Strategy::DepShadow deps;
     strat->build(dst, b, deps);
     if (deps_out) *deps_out = deps;
-    // Parse back through the matching wire format.
+    // Parse back through the matching format.
     b.rewind();
     return dynamic_cast<LogOnStrategy*>(strat.get()) ? wire::plain_parse(b)
-                                                     : wire::factored_parse(b);
+                                                     : host_form_events(b);
   }
 };
 
@@ -675,17 +803,20 @@ TEST_P(StrategyProperty, NeverSendsReceiverItsOwnEvents) {
   util::Buffer in;
   Strategy::DepShadow deps;
   std::vector<ftapi::Determinant> theirs;
+  EventStore peer(4);
   for (std::uint64_t q = 1; q <= 4; ++q) {
     theirs.push_back(det(1, q, 2, q));
+    peer.add(theirs.back());
     deps.push_back(ftapi::Determinant::kNoDep);
   }
   if (GetParam() == StrategyKind::kLogOn) {
     wire::plain_serialize(theirs, in);
   } else {
-    wire::factored_serialize(theirs, in);
+    in = host_form(peer, theirs);
+    deps.clear();
   }
-  in.rewind();
   fx.strat->absorb(1, in, deps);
+  EXPECT_EQ(fx.store.known(1), 4u);
   fx.local_event(0, 1);
   for (const ftapi::Determinant& d : fx.build(1)) {
     EXPECT_NE(d.creator, 1u);
@@ -702,7 +833,13 @@ TEST_P(StrategyProperty, WorkBytesCountOnlyTheAppendedPiggyback) {
   Strategy::DepShadow deps;
   const Strategy::Work w = fx.strat->build(1, out, deps);
   EXPECT_EQ(w.events, 10u);
-  EXPECT_EQ(w.bytes, out.size() - prefix.size());
+  // LogOn's bytes are real; Vcausal's and Manetho's are the factored size
+  // of their one run (the host form is smaller).
+  if (GetParam() == StrategyKind::kLogOn) {
+    EXPECT_EQ(w.bytes, out.size() - prefix.size());
+  } else {
+    EXPECT_EQ(w.bytes, wire::factored_size(1, 10));
+  }
   EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), out.bytes().begin()));
 }
 
@@ -864,6 +1001,10 @@ void expect_held_through_exact(const EventStore& s) {
 // messages, per-holder stable advances (holders learn stability at
 // different times, which leaves holes), checkpoints and restarts (restore +
 // on_peer_restart caps). Everything observable must match after each step.
+// LogOn's bytes must be equal; Vcausal's and Manetho's host form must carry
+// the events the reference serializes, and its computed size must be the
+// serialized size (Work::bytes). Each rank has a private table, so every
+// absorb imports its new records from the sender's.
 template <class S>
 void run_differential(std::uint64_t seed) {
   constexpr int kRanks = 16;
@@ -922,8 +1063,21 @@ void run_differential(std::uint64_t seed) {
       Strategy::DepShadow fd, rd;
       expect_same_work(fast[s_at]->strat->build(dst, fb, fd),
                        ref[s_at]->strat->build(dst, rb, rd));
-      ASSERT_EQ(fb, rb) << "step " << step;
-      ASSERT_EQ(fd, rd) << "step " << step;
+      if constexpr (std::is_base_of_v<LogOnStrategy, S>) {
+        ASSERT_EQ(fb, rb) << "step " << step;
+        ASSERT_EQ(fd, rd) << "step " << step;
+      } else {
+        std::vector<ftapi::Determinant> sent = host_form_events(fb);
+        fb.rewind();
+        std::vector<ftapi::Determinant> serialized_events = wire::factored_parse(rb);
+        rb.rewind();
+        ASSERT_EQ(rd.size(), serialized_events.size());
+        for (std::size_t i = 0; i < rd.size(); ++i) {
+          serialized_events[i].set_dep_word(rd[i]);
+        }
+        expect_same_dets(sent, serialized_events);
+        ASSERT_TRUE(fd.empty());
+      }
       const std::size_t held = fast[d_at]->store.held_count();
       const std::size_t vertices = fast[d_at]->strat->graph_vertices();
       const Strategy::Work fw = fast[d_at]->strat->absorb(src, fb, fd);
@@ -1436,7 +1590,7 @@ TEST(ImageFuzz, FieldMutantsRestoreLikeTheReference) {
       }
       util::Buffer fi(bytes), ri(bytes);
       EventStore fast(ImageSample::kRanks);
-      ReferenceEventStore ref(ImageSample::kRanks);
+      ColumnarStore ref(ImageSample::kRanks);
       fast.restore(fi);
       ref.restore(ri);
       EXPECT_EQ(fi.remaining(), 0u);

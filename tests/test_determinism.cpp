@@ -14,6 +14,7 @@
 // hand-built configs these values were recorded with, every row would move.
 #include <gtest/gtest.h>
 
+#include "causal/reference_strategy.hpp"
 #include "scenario/runner.hpp"
 
 namespace mpiv {
@@ -127,6 +128,110 @@ TEST(Determinism, MetricsCaptureDoesNotPerturbTheGoldens) {
     EXPECT_EQ(fp.wire_bytes, g.fp.wire_bytes);
     EXPECT_EQ(fp.pb_bytes, g.fp.pb_bytes);
     EXPECT_EQ(fp.checksum, g.fp.checksum);
+  }
+}
+
+// Turns the reference checks on for one test (causal/reference_strategy.hpp):
+// every EventStore built meanwhile mirrors a ColumnarStore, and each
+// Vcausal/Manetho piggyback is checked against the real factored codec.
+struct ReferenceChecksOn {
+  ReferenceChecksOn() {
+    causal::reference_checks() = {};
+    causal::reference_checks().on = true;
+  }
+  ~ReferenceChecksOn() { causal::reference_checks().on = false; }
+};
+
+// Differential run of every determinism config against the reference store
+// and codec, with a per-rank twin: for every Vcausal/Manetho message the
+// computed size equals the serialized size and the host form's events are
+// the serialized ones (checked by the sender), and after the absorb the
+// receiver's store and twin hold identical sets (checked by the receiver;
+// LogOn's absorbs and every restore are compared too). A failed check dies,
+// so the goldens here double as "the checks changed nothing".
+TEST(Determinism, PiggybacksMatchTheReferenceStore) {
+  const ReferenceChecksOn on;
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE(testing::Message() << g.variant << (g.ckpt ? " +ckpt" : ""));
+    const std::uint64_t builds = causal::reference_checks().builds;
+    const std::uint64_t stores = causal::reference_checks().stores;
+    const Fingerprint fp = run_variant(g.variant, g.ckpt);
+    EXPECT_EQ(fp.wire_bytes, g.fp.wire_bytes);
+    EXPECT_EQ(fp.pb_bytes, g.fp.pb_bytes);
+    EXPECT_EQ(fp.checksum, g.fp.checksum);
+    EXPECT_GT(causal::reference_checks().stores, stores);
+    if (std::string(g.variant).rfind("logon", 0) != 0) {
+      EXPECT_GT(causal::reference_checks().builds, builds);
+    }
+  }
+  const causal::ReferenceChecks& rc = causal::reference_checks();
+  EXPECT_EQ(rc.builds, rc.absorbs);  // fault-free: every piggyback arrives
+  EXPECT_GT(rc.events, 0u);
+}
+
+// A random_any mid-run crash under the reference checks: the victim's
+// store is restored from its image (re-adding its records to the table),
+// learns the survivors' determinants (without EL) and re-creates events
+// past its recovered prefix, and every store must still match its twin
+// through recovery and the rest of the run. (Wildcard matching makes the
+// recovered run differ from the reference pass, so it is not exact.) In
+// the last two cases the victim re-creates its newest event as another
+// reception, which nobody else held: the table takes the new value.
+TEST(Determinism, MidRunCrashMatchesTheReferenceStore) {
+  struct Case {
+    const char* variant;
+    std::uint64_t seed;
+    int rank;
+    double frac;
+    std::uint64_t overwrites;
+  };
+  for (const Case& c : {Case{"vcausal:el", 7, 1, 0.5, 0}, Case{"manetho:noel", 7, 1, 0.5, 0},
+                        Case{"manetho:noel", 1, 1, 0.7, 1},
+                        Case{"vcausal:noel", 6, 0, 0.4, 1}}) {
+    SCOPED_TRACE(testing::Message() << c.variant << " seed " << c.seed);
+    const ReferenceChecksOn on;
+    scenario::ScenarioBuilder b("reference-crash");
+    b.variant(c.variant).nranks(4).seed(c.seed);
+    b.checkpoint(ckpt::Policy::kRoundRobin, 5 * sim::kMillisecond);
+    b.random_any(/*iterations=*/24, /*wseed=*/c.seed, /*bytes=*/2048);
+    b.midrun_fault(c.rank, c.frac);
+    const scenario::RunResult r = scenario::run_spec(b.build());
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.report.fault_counts.rank_crashes, 1u);
+    EXPECT_EQ(r.report.recoveries.size(), 1u);
+    const causal::ReferenceChecks& rc = causal::reference_checks();
+    EXPECT_GT(rc.builds, 0u);
+    EXPECT_EQ(rc.overwrites, c.overwrites);
+    EXPECT_EQ(rc.own_copies, 0u);
+  }
+}
+
+// Two crashes under the reference checks: rank 1 crashes and re-creates
+// its newest event as another reception, then rank 0 crashes, restores
+// its image and recovers. Every store must match its twin throughout. The
+// fault engine holds rank 0's crash until rank 1 has recovered, so crashes
+// never overlap in a run; EventStoreTest.RecreatedValuesStayPerHolder
+// covers the overlapping case store by store.
+TEST(Determinism, TwoCrashesMatchTheReferenceStore) {
+  for (const char* variant : {"vcausal:noel", "manetho:noel"}) {
+    SCOPED_TRACE(variant);
+    const ReferenceChecksOn on;
+    scenario::ScenarioBuilder b("reference-two-crashes");
+    b.variant(variant).nranks(4).seed(1);
+    b.checkpoint(ckpt::Policy::kRoundRobin, 5 * sim::kMillisecond);
+    b.random_any(/*iterations=*/24, /*wseed=*/1, /*bytes=*/2048);
+    b.fault_at(392 * sim::kMillisecond, 1);
+    b.fault_at(393 * sim::kMillisecond, 0);
+    const scenario::RunResult r = scenario::run_spec(b.build());
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.report.fault_counts.rank_crashes, 2u);
+    ASSERT_EQ(r.report.recoveries.size(), 2u);
+    EXPECT_LE(r.report.recoveries[0].replay_done_at, r.report.recoveries[1].fault_at);
+    const causal::ReferenceChecks& rc = causal::reference_checks();
+    EXPECT_GT(rc.absorbs, 0u);
+    EXPECT_GT(rc.stores, 0u);
+    EXPECT_EQ(rc.overwrites, 1u);
+    EXPECT_EQ(rc.own_copies, 0u);
   }
 }
 

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 
 #include "mpi/collectives.hpp"
 #include "mpi/matching.hpp"
 #include "runtime/cluster.hpp"
+#include "util/rng.hpp"
 #include "workloads/apps.hpp"
 
 namespace mpiv {
@@ -42,6 +44,37 @@ TEST(ArrivalDedupTest, OutOfOrderTolerated) {
   EXPECT_FALSE(d.accept(4));
   EXPECT_TRUE(d.accept(3));
   EXPECT_EQ(d.watermark(), 4u);
+}
+
+TEST(ArrivalDedupTest, MatchesASetOfEverythingAccepted) {
+  // Mostly in-order streams (the fast path) with duplicates, gaps and late
+  // fills: accept() answers "not seen before", and serialize() writes the
+  // watermark plus the accepted seqs above it, as with every seq in a set.
+  util::Rng rng(41);
+  for (int trial = 0; trial < 50; ++trial) {
+    ArrivalDedup d;
+    std::set<std::uint64_t> seen;
+    std::uint64_t next = 1;
+    for (int i = 0; i < 400; ++i) {
+      std::uint64_t ssn = next;
+      switch (rng.next_below(8)) {
+        case 0: ssn = 1 + rng.next_below(next + 3); break;  // dup, fill or gap
+        case 1: ssn = next + 1 + rng.next_below(4); break;  // ahead of a hole
+        default: ++next; break;                              // in order
+      }
+      ASSERT_EQ(d.accept(ssn), seen.insert(ssn).second) << "ssn " << ssn;
+      std::uint64_t mark = 0;
+      while (seen.count(mark + 1) != 0) ++mark;
+      ASSERT_EQ(d.watermark(), mark);
+      util::Buffer got, want;
+      d.serialize(got);
+      want.put_u64(mark);
+      want.put_u32(static_cast<std::uint32_t>(
+          std::distance(seen.upper_bound(mark), seen.end())));
+      for (auto it = seen.upper_bound(mark); it != seen.end(); ++it) want.put_u64(*it);
+      ASSERT_EQ(got, want);
+    }
+  }
 }
 
 TEST(ArrivalDedupTest, SerializeRoundTrip) {

@@ -208,13 +208,21 @@ TEST(SeqWindow, PrunePrefixRejectsBelowBase) {
   EXPECT_TRUE(w.emplace(101, 1));
 }
 
+// "v<s>", built by appending: GCC 12 flags `"v" + std::to_string(s)` with a
+// -Wrestrict false positive inside std::string.
+std::string label(std::uint64_t s) {
+  std::string v = "v";
+  v += std::to_string(s);
+  return v;
+}
+
 TEST(SeqWindow, WraparoundGrowthKeepsEntries) {
   SeqWindow<std::string> w;
   // Slide a window of ~32 live entries across a long sequence so slots wrap
   // around the ring many times, forcing several in-place growths early on.
   std::uint64_t pruned = 0;
   for (std::uint64_t s = 1; s <= 5000; ++s) {
-    ASSERT_TRUE(w.emplace(s, "v" + std::to_string(s)));
+    ASSERT_TRUE(w.emplace(s, label(s)));
     if (s % 7 == 0 && s > 32) {
       pruned = s - 32;
       w.prune_to(pruned);
@@ -224,7 +232,7 @@ TEST(SeqWindow, WraparoundGrowthKeepsEntries) {
   EXPECT_EQ(w.size(), 5000 - pruned);
   for (std::uint64_t s = pruned + 1; s <= 5000; ++s) {
     ASSERT_NE(w.find(s), nullptr) << s;
-    EXPECT_EQ(*w.find(s), "v" + std::to_string(s));
+    EXPECT_EQ(*w.find(s), label(s));
   }
 }
 
